@@ -9,7 +9,8 @@ resampled times.
 
 Two implementations share the same noise contract: ``mlp_estimate`` is the
 direct scalar recursion, and ``mlp_estimate_batch`` runs many top-level
-samples in lockstep through one structural copy of the recursion tree.
+samples in lockstep through one structural copy of the recursion tree.  It
+caches only stream keys and queries each Brownian value at its grid point.
 """
 
 from __future__ import annotations
@@ -82,14 +83,13 @@ def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
 
 
 class _BatchContext:
-    """Shared state for one lockstep run: key and path caches per suffix."""
+    """Shared state for one lockstep run: the stream keys per suffix."""
 
     def __init__(self, problem, tree, bases):
         self.problem = problem
         self.tree = tree
         self.K = len(bases)
         self.keys = {(): base_keys(tree.master_seed, np.asarray(bases))}
-        self.paths = {}
         self.mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
 
     def keys_for(self, suffix):
@@ -99,13 +99,6 @@ class _BatchContext:
             self.keys[suffix] = got
         return got
 
-    def paths_for(self, suffix):
-        got = self.paths.get(suffix)
-        if got is None:
-            got = brownian_path_batch(self.tree, self.keys_for(suffix))
-            self.paths[suffix] = got
-        return got
-
 
 def _mlp_batch(ctx: _BatchContext, suffix: tuple, n: int, m: int,
                t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -113,11 +106,10 @@ def _mlp_batch(ctx: _BatchContext, suffix: tuple, n: int, m: int,
     d = ctx.problem.d
     if n == 0:
         return np.zeros((ctx.K, d))
-    G = tree.grid_size
     lvl = m ** n
     k_lvl = np.minimum(np.floor(t * lvl / tree.T + 1e-9).astype(int), lvl)
-    fine = k_lvl * (G // lvl)
-    W = ctx.paths_for(suffix)[np.arange(ctx.K), fine, :]
+    fine = k_lvl * (tree.grid_size // lvl)
+    W = brownian_path_batch(tree, ctx.keys_for(suffix), fine)
     val = x + W + t[:, None] * ctx.mu0
     for ell in range(1, n):
         M = m ** (n - ell)

@@ -2,14 +2,18 @@
 
 A :class:`NoiseTree` plays the role of one fixed random outcome: for every
 index tuple theta it provides one uniform variate on [0, 1] and one Brownian
-path sampled on the finest dyadic-style grid {k T / m^grid_levels}.  Every
-value is a pure function of (master_seed, theta, query), so evaluation order
-is irrelevant and distinct theta behave like independent streams.
+path on the grid {k T / G}, G = m^grid_levels.  Every value is a pure
+function of (master_seed, theta, query), so evaluation order is irrelevant
+and distinct theta behave like independent streams.
 
-Streams are derived with a SplitMix64-style bit finalizer: the tuple is
-folded into a 64-bit key, and the key plus a counter times the golden-ratio
-constant is finalized into each output word.  The scalar path uses Python
-integers; the batch path uses uint64 arrays; both compute the same values.
+Streams come from a SplitMix64-style finalizer: the tuple is folded into a
+64-bit key, and the key plus counter * golden ratio is finalized into each
+output word (counter 1: the uniform; 2 + node*d + component: a normal).
+No path is stored: W(k) is the Levy-Ciesielski (Brownian-bridge) sum on the
+dyadic grid 0..P, P = 2^J >= G, W(k) = (k/P) W(P) + sum_{j<J} tent_j(k) z_j
+(Glasserman 2003, Sec. 3.1), so a query draws the J + 1 normals of the
+nodes above k: node 0 is W(P), node 2^j + i the midpoint of interval i of
+level j.  Python-int scalar and uint64 batch paths give the same values.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ def theta_key(master_seed: int, theta: ThetaIndex) -> int:
         raise ValueError("theta must be a nonempty tuple")
     h = master_seed & _MASK
     for e in theta:
-        if e < 0:
-            raise ValueError(f"theta entries must be nonnegative, got {theta}")
+        if e < 0 or e > _MASK:
+            raise ValueError(f"theta entries must lie in [0, 2**64): {theta}")
         h = _mix(h ^ _mix((e + _PHI) & _MASK))
     return h
 
@@ -84,13 +88,14 @@ def _values(key_arr: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return _mix_array(key_arr + counters * _PHI_U)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseTree:
     """One fixed noise realization over the whole index-tuple family.
 
     grid_levels fixes the finest Brownian grid step T / m**grid_levels; every
     time queried by the estimator at recursion level <= grid_levels lies on
-    this grid.  Brownian paths are cached per tuple after first access.
+    this grid.  Nothing is cached per tuple; only the bridge constants of
+    the grid are computed, once, at construction.
     """
 
     master_seed: int
@@ -98,11 +103,23 @@ class NoiseTree:
     d: int
     grid_levels: int
     m: int
-    _paths: dict = field(default_factory=dict, repr=False, compare=False)
+    _bridge: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.T <= 0 or self.d < 1 or self.grid_levels < 0 or self.m < 1:
             raise ValueError("need T > 0, d >= 1, grid_levels >= 0, m >= 1")
+        if self.m > 1 and (self.grid_levels > 53 or self.grid_size > 2 ** 53):
+            raise ValueError(
+                f"grid size m**grid_levels = {self.m}**{self.grid_levels} "
+                "exceeds 2**53; grid times and indices would not be exact")
+        # One column per node above an index: W(P), given span 2P so that its
+        # weight min(r, span - r) is k, then one per level j < J.
+        J = int(self.grid_size - 1).bit_length()
+        shift, first = np.r_[J + 1, J:0:-1], np.r_[0, 1 << np.arange(J)]
+        scale = np.sqrt(self.T / self.grid_size / (1 << np.minimum(shift, J)))
+        counter = first * self.d + (2 + np.arange(self.d))[:, None]
+        object.__setattr__(self, "_bridge", (
+            shift, 1 << shift, np.maximum(first - 1, 0), scale, counter))
 
     @property
     def grid_size(self) -> int:
@@ -121,35 +138,25 @@ def uniform_time_batch(keys: np.ndarray) -> np.ndarray:
     return _to_unit(_values(keys, np.uint64(1)))
 
 
-def brownian_path(tree: NoiseTree, theta: ThetaIndex) -> np.ndarray:
-    """Cumulative Brownian values, shape (grid_size + 1, d), row 0 zero."""
-    theta = tuple(theta)
-    cached = tree._paths.get(theta)
-    if cached is not None:
-        return cached
-    h = theta_key(tree.master_seed, theta)
-    path = _paths_from_keys(np.array([h], dtype=np.uint64), tree)[0]
-    path.flags.writeable = False
-    tree._paths[theta] = path
-    return path
-
-
-def _paths_from_keys(keys: np.ndarray, tree: NoiseTree) -> np.ndarray:
-    """Brownian paths for a key batch, shape (len(keys), grid_size + 1, d)."""
-    G, d = tree.grid_size, tree.d
-    counters = np.arange(2, G * d + 2, dtype=np.uint64) * _PHI_U
-    words = _values(keys[:, None], counters[None, :])
-    z = ndtri(_to_unit(words)).reshape(len(keys), G, d)
-    dt = tree.T / G
-    out = np.zeros((len(keys), G + 1, d))
-    np.cumsum(z, axis=1, out=out[:, 1:, :])
-    out[:, 1:, :] *= np.sqrt(dt)
-    return out
-
-
-def brownian_path_batch(tree: NoiseTree, keys: np.ndarray) -> np.ndarray:
-    """Uncached batch variant of :func:`brownian_path`."""
-    return _paths_from_keys(np.asarray(keys, dtype=np.uint64), tree)
+def brownian_path_batch(tree: NoiseTree, keys: np.ndarray,
+                        idx: np.ndarray | None = None) -> np.ndarray:
+    """W at grid index idx[b] for each stream key b, shape (len(keys), d);
+    without idx, whole paths, shape (len(keys), grid_size + 1, d)."""
+    keys, G = np.asarray(keys, dtype=np.uint64), tree.grid_size
+    if idx is None:
+        return brownian_path_batch(
+            tree, np.repeat(keys, G + 1), np.tile(np.arange(G + 1), len(keys))
+        ).reshape(len(keys), G + 1, tree.d)
+    k = np.asarray(idx, dtype=np.int64)
+    if k.shape != keys.shape or k.min(initial=0) < 0 or k.max(initial=0) > G:
+        raise ValueError(f"need one grid index in [0, {G}] per key")
+    shift, span, last, scale, counter = tree._bridge
+    cell = np.minimum(k[:, None] >> shift, last)
+    r = k[:, None] - (cell << shift)
+    weight = np.minimum(r, span - r) * scale
+    counters = (cell * tree.d)[:, None, :] + counter
+    z = ndtri(_to_unit(_values(keys[:, None, None], counters.view(np.uint64))))
+    return (z * weight[:, None, :]).sum(axis=-1)
 
 
 def grid_index(tree: NoiseTree, t: float) -> int:
@@ -164,4 +171,5 @@ def grid_index(tree: NoiseTree, t: float) -> int:
 
 def brownian_at(tree: NoiseTree, theta: ThetaIndex, t: float) -> np.ndarray:
     """Brownian value W^theta(t) at a finest-grid time, shape (d,)."""
-    return brownian_path(tree, theta)[grid_index(tree, t)]
+    key = np.array([theta_key(tree.master_seed, tuple(theta))], np.uint64)
+    return brownian_path_batch(tree, key, [grid_index(tree, t)])[0]

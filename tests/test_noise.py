@@ -81,6 +81,57 @@ class TestBrownian:
         assert abs(corr) < 0.03
 
 
+class TestBridgeOffPowerOfTwoGrid:
+    """m = 3: G = 27 grid steps inside a dyadic bridge over P = 32."""
+
+    def tree(self, d=1):
+        return make_tree(seed=31, T=2.0, d=d, levels=3, m=3)
+
+    def test_variance_and_uncorrelated_increments(self):
+        tree = self.tree()
+        n, G = 20000, tree.grid_size
+        paths = brownian_path_batch(
+            tree, base_keys(tree.master_seed, np.arange(1, n + 1)))[:, :, 0]
+        k = np.arange(1, G + 1)
+        ratio = paths[:, 1:].var(axis=0) / (k * tree.T / G)
+        assert np.all(np.abs(ratio - 1.0) <= 5.0 * np.sqrt(2.0 / n))
+        incs = np.diff(paths, axis=1)
+        for j in range(G - 1):
+            corr = np.corrcoef(incs[:, j], incs[:, j + 1])[0, 1]
+            assert abs(corr) <= 5.0 / np.sqrt(n)
+
+    def test_point_query_matches_whole_path_bitwise(self):
+        tree = self.tree(d=2)
+        keys = base_keys(tree.master_seed, np.arange(1, 51))
+        whole = brownian_path_batch(tree, keys)
+        assert whole.shape == (50, tree.grid_size + 1, 2)
+        idx = np.random.default_rng(0).integers(0, tree.grid_size + 1, 50)
+        rows = np.arange(50)
+        np.testing.assert_array_equal(brownian_path_batch(tree, keys, idx),
+                                      whole[rows, idx])
+        for b in (0, 17, 49):
+            np.testing.assert_array_equal(
+                brownian_path_batch(tree, keys[b:b + 1], idx[b:b + 1])[0],
+                whole[b, idx[b]])
+
+    def test_brownian_at_matches_batch(self):
+        tree = self.tree(d=2)
+        G = tree.grid_size
+        for b in (1, 2, 9):
+            keys = base_keys(tree.master_seed, np.full(G + 1, b))
+            batch = brownian_path_batch(tree, keys, np.arange(G + 1))
+            for k in range(G + 1):
+                np.testing.assert_array_equal(
+                    brownian_at(tree, (b,), k * tree.T / G), batch[k])
+
+    def test_bad_indices_rejected(self):
+        tree = self.tree()
+        keys = base_keys(tree.master_seed, np.arange(1, 3))
+        for idx in ([0, tree.grid_size + 1], [-1, 0], [0]):
+            with pytest.raises(ValueError):
+                brownian_path_batch(tree, keys, idx)
+
+
 class TestKeys:
     def test_batch_matches_scalar(self):
         seed = 4242
@@ -99,6 +150,20 @@ class TestKeys:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             theta_key(0, (1, -2))
+
+    def test_entry_beyond_64_bits_rejected(self):
+        # (1,) and (1 + 2**64,) must not alias to one stream
+        theta_key(0, (2 ** 64 - 1,))
+        with pytest.raises(ValueError):
+            theta_key(0, (1 + 2 ** 64,))
+
+
+class TestNoiseTreeSize:
+    def test_grid_beyond_exact_float_indices_rejected(self):
+        with pytest.raises(ValueError, match=r"m\*\*grid_levels = 4\*\*30"):
+            NoiseTree(master_seed=0, T=1.0, d=1, grid_levels=30, m=4)
+        NoiseTree(master_seed=0, T=1.0, d=1, grid_levels=53, m=2)
+        NoiseTree(master_seed=0, T=1.0, d=1, grid_levels=100, m=1)
 
 
 class TestGridIndex:
