@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .nets import DimVector, NeuralNetwork, dims
 
@@ -65,6 +64,27 @@ def identity_dims(d: int, length: int) -> DimVector:
 # network constructions
 # ---------------------------------------------------------------------------
 
+def _readonly(layers) -> tuple:
+    """Mark every array of ``layers`` read-only, in place, and return them as
+    a tuple.  Each array is either fresh or taken from an input network, so
+    ``NeuralNetwork`` can share all of them without copying."""
+    for W, B in layers:
+        W.flags.writeable = False
+        B.flags.writeable = False
+    return tuple(layers)
+
+
+def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense block-diagonal matrix with the 2-D ``blocks`` along its diagonal."""
+    out = np.zeros((sum(b.shape[0] for b in blocks),
+                    sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def identity_network(d: int, hidden_layers: int) -> NeuralNetwork:
     """Network computing the identity on R^d with the given hidden depth.
 
@@ -80,7 +100,7 @@ def identity_network(d: int, hidden_layers: int) -> NeuralNetwork:
     for _ in range(hidden_layers - 1):
         layers.append((np.eye(2 * d), np.zeros(2 * d)))
     layers.append((unsplit, np.zeros(d)))
-    return NeuralNetwork(tuple(layers))
+    return NeuralNetwork(_readonly(layers))
 
 
 def zero_network(d_in: int, d_out: int, length: int = 3) -> NeuralNetwork:
@@ -91,7 +111,7 @@ def zero_network(d_in: int, d_out: int, length: int = 3) -> NeuralNetwork:
     for _ in range(length - 3):
         layers.append((np.zeros((1, 1)), np.zeros(1)))
     layers.append((np.zeros((d_out, 1)), np.zeros(d_out)))
-    return NeuralNetwork(tuple(layers))
+    return NeuralNetwork(_readonly(layers))
 
 
 def compose(f_net: NeuralNetwork, g_net: NeuralNetwork) -> NeuralNetwork:
@@ -113,7 +133,7 @@ def compose(f_net: NeuralNetwork, g_net: NeuralNetwork) -> NeuralNetwork:
     layers = (g_net.layers[:-1]
               + ((bridge_W, bridge_B), (head_W, Bf))
               + f_net.layers[1:])
-    return NeuralNetwork(layers)
+    return NeuralNetwork(_readonly(layers))
 
 
 def scaled_sum(nets: Sequence[NeuralNetwork],
@@ -137,11 +157,11 @@ def scaled_sum(nets: Sequence[NeuralNetwork],
     layers.append((np.vstack([n.layers[0][0] for n in nets]),
                    np.concatenate([n.layers[0][1] for n in nets])))
     for i in range(1, depth - 1):
-        layers.append((block_diag(*(n.layers[i][0] for n in nets)),
+        layers.append((_block_diag([n.layers[i][0] for n in nets]),
                        np.concatenate([n.layers[i][1] for n in nets])))
     layers.append((np.hstack([h * n.layers[-1][0] for h, n in zip(coeffs, nets)]),
                    sum(h * n.layers[-1][1] for h, n in zip(coeffs, nets))))
-    return NeuralNetwork(tuple(layers))
+    return NeuralNetwork(_readonly(layers))
 
 
 def merge(nets: Sequence[NeuralNetwork]) -> NeuralNetwork:
@@ -159,9 +179,9 @@ def merge(nets: Sequence[NeuralNetwork]) -> NeuralNetwork:
     layers = [(np.vstack([n.layers[0][0] for n in nets]),
                np.concatenate([n.layers[0][1] for n in nets]))]
     for i in range(1, depth):
-        layers.append((block_diag(*(n.layers[i][0] for n in nets)),
+        layers.append((_block_diag([n.layers[i][0] for n in nets]),
                        np.concatenate([n.layers[i][1] for n in nets])))
-    return NeuralNetwork(tuple(layers))
+    return NeuralNetwork(_readonly(layers))
 
 
 def affine_wrap(net: NeuralNetwork, lam: float,
@@ -176,7 +196,7 @@ def affine_wrap(net: NeuralNetwork, lam: float,
     W1, B1 = net.layers[0]
     WL, BL = net.layers[-1]
     layers = ((W1, W1 @ b + B1),) + net.layers[1:-1] + ((lam * WL, lam * (BL + a)),)
-    return NeuralNetwork(layers)
+    return NeuralNetwork(_readonly(layers))
 
 
 def extend_depth(net: NeuralNetwork, extra_hidden: int) -> NeuralNetwork:
@@ -197,4 +217,4 @@ def extend_depth(net: NeuralNetwork, extra_hidden: int) -> NeuralNetwork:
     for _ in range(extra_hidden - 1):
         layers.append((np.eye(2 * q), np.zeros(2 * q)))
     layers.append((np.hstack([np.eye(q), -np.eye(q)]), np.zeros(q)))
-    return NeuralNetwork(tuple(layers))
+    return NeuralNetwork(_readonly(layers))

@@ -41,6 +41,12 @@ class ExperimentConfig:
             raise ValueError("dimensions must be positive")
         if self.problem not in ("linear", "constant"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        for key, low in (("mc_samples", 1), ("particles", 2), ("level_cap", 0),
+                         ("points", 1), ("euler_steps", 1),
+                         ("convergence_seeds", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(
+                    f"{key} must be >= {low}, got {getattr(self, key)}")
         return self
 
 

@@ -2,9 +2,11 @@
 
 A network is a tuple of H+1 layer pairs ((W_1, B_1), ..., (W_{H+1}, B_{H+1})),
 H >= 1.  Evaluation applies the componentwise ReLU after every layer except
-the last one, which stays affine.  Networks are values: all arrays are made
-read-only at construction time, and every operation that "modifies" a network
-builds a new one.
+the last one, which stays affine.  Networks are values: all arrays are
+read-only, and every operation that "modifies" a network builds a new one.
+A read-only float64 array that owns its data is taken as it is, so networks
+share such layers; any other array (a caller's writeable array, a view, another
+dtype) is copied once at construction.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ def dim_supnorm(v: DimVector) -> int:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and not a.flags.writeable and a.flags.owndata):
+        return a
     a = np.array(a, dtype=np.float64)
     a.flags.writeable = False
     return a
@@ -135,9 +140,13 @@ def network_to_text(net: NeuralNetwork) -> str:
 def network_from_text(text: str) -> NeuralNetwork:
     """Inverse of :func:`network_to_text`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    widths = [int(tok) for tok in lines[0].split()]
+    widths = [int(tok) for tok in lines[0].split()] if lines else []
     if len(widths) < 3:
         raise ValueError("dims line must have at least 3 entries")
+    expected = 1 + sum(w + 1 for w in widths[1:])
+    if len(lines) != expected:
+        raise ValueError(f"dims {widths} need {expected} nonblank lines, "
+                         f"got {len(lines)}")
     pos = 1
     layers = []
     for n in range(1, len(widths)):
@@ -148,5 +157,7 @@ def network_from_text(text: str) -> NeuralNetwork:
         pos += rows
         B = np.array([float(t) for t in lines[pos].split()])
         pos += 1
+        if not (np.isfinite(W).all() and np.isfinite(B).all()):
+            raise ValueError(f"layer {n}: weights and biases must be finite")
         layers.append((W, B))
     return NeuralNetwork(tuple(layers))

@@ -106,8 +106,14 @@ class NoiseTree:
     _bridge: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T <= 0 or self.d < 1 or self.grid_levels < 0 or self.m < 1:
-            raise ValueError("need T > 0, d >= 1, grid_levels >= 0, m >= 1")
+        for name in ("d", "grid_levels", "m"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T must be finite and > 0, got {self.T!r}")
+        if self.d < 1 or self.grid_levels < 0 or self.m < 1:
+            raise ValueError("need d >= 1, grid_levels >= 0, m >= 1")
         if self.m > 1 and (self.grid_levels > 53 or self.grid_size > 2 ** 53):
             raise ValueError(
                 f"grid size m**grid_levels = {self.m}**{self.grid_levels} "

@@ -32,8 +32,10 @@ class TestProblem:
             raise ValueError("drift net must map R^2d -> R^d")
         if self.f_net.input_width != self.d or self.f_net.output_width != 1:
             raise ValueError("payoff net must map R^d -> R")
-        if self.c < 1 or self.r < 0 or self.T <= 0:
-            raise ValueError("need c >= 1, r >= 0, T > 0")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"T must be finite and > 0, got {self.T!r}")
+        if self.c < 1 or self.r < 0:
+            raise ValueError("need c >= 1, r >= 0")
 
 
 def _linear_drift_net(d: int, a: float, b: float) -> NeuralNetwork:

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picardnet.calculus import (affine_wrap, compose, dim_compose, dim_merge,
-                                dim_sum, extend_depth, identity_dims,
-                                identity_network, merge, scaled_sum,
-                                zero_network)
+from scipy.linalg import block_diag
+
+from picardnet.calculus import (_block_diag, affine_wrap, compose,
+                                dim_compose, dim_merge, dim_sum, extend_depth,
+                                identity_dims, identity_network, merge,
+                                scaled_sum, zero_network)
 from picardnet.nets import DimVector, dim_supnorm, dims, realize
 
 from test_nets import random_net
@@ -274,3 +276,45 @@ def test_composition_chain_supnorm_bound():
         limit = max([dim_supnorm(v) for v in vecs]
                     + [2 * w for w in widths[1:-1]])
         assert dim_supnorm(chain) <= limit
+
+
+class TestSharing:
+    def _results(self):
+        rng = np.random.default_rng(19)
+        f, g = random_net(rng, (3, 4, 2)), random_net(rng, (2, 5, 3))
+        h = random_net(rng, (2, 2, 3))
+        return [compose(f, g), merge([g, h]), scaled_sum([g, h], [0.5, -2.0]),
+                affine_wrap(g, 1.5, np.ones(2), np.ones(3)),
+                extend_depth(g, 0), extend_depth(g, 3),
+                identity_network(2, 3), zero_network(2, 3, 4)]
+
+    def test_every_array_read_only(self):
+        for net in self._results():
+            for W, B in net.layers:
+                assert not W.flags.writeable and not B.flags.writeable
+                with pytest.raises(ValueError):
+                    W[0, 0] = 1.0
+
+    def test_unchanged_layers_shared(self):
+        rng = np.random.default_rng(20)
+        f, g = random_net(rng, (3, 4, 2)), random_net(rng, (2, 5, 6, 3))
+        h = compose(f, g)
+        assert h.layers[0][0] is g.layers[0][0]
+        assert h.layers[1][0] is g.layers[1][0]
+        assert h.layers[1][1] is g.layers[1][1]
+        assert h.layers[2][1] is not g.layers[2][1]
+        assert h.layers[3][1] is f.layers[0][1]
+        assert h.layers[-1][0] is f.layers[-1][0]
+        wrapped = affine_wrap(g, 2.0, np.zeros(2), np.zeros(3))
+        assert wrapped.layers[0][0] is g.layers[0][0]
+        assert wrapped.layers[1][0] is g.layers[1][0]
+        assert all(a is b for a, b in zip(extend_depth(g, 0).layers[0],
+                                          g.layers[0]))
+
+
+def test_block_diag_matches_scipy():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        blocks = [rng.standard_normal(tuple(rng.integers(1, 6, 2)))
+                  for _ in range(int(rng.integers(1, 5)))]
+        np.testing.assert_array_equal(_block_diag(blocks), block_diag(*blocks))

@@ -55,6 +55,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             ExperimentConfig(epsilons=[1.5]).validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("mc_samples", 0), ("particles", 1), ("level_cap", -1), ("points", 0),
+        ("euler_steps", 0), ("convergence_seeds", 0)])
+    def test_size_below_minimum_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**{key: value}).validate()
+        with pytest.raises(ValueError, match=key):
+            parse_config(f"{key} = {value}\n")
+        ExperimentConfig(**{key: value + 1}).validate()
+
 
 class TestCli:
     def write_config(self, tmp_path, text=SMALL):

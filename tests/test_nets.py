@@ -151,3 +151,55 @@ def test_serialization_roundtrip():
     assert tuple(dims(back)) == tuple(dims(net))
     for (W1, B1), (W2, B2) in zip(net.layers, back.layers):
         assert np.array_equal(W1, W2) and np.array_equal(B1, B2)
+
+
+def test_serialization_rejects_truncated_text():
+    text = network_to_text(random_net(np.random.default_rng(9), (3, 4, 2)))
+    lines = text.splitlines()
+    for cut in (1, len(lines) // 2, len(lines) - 1):
+        with pytest.raises(ValueError, match="nonblank lines"):
+            network_from_text("\n".join(lines[:cut]) + "\n")
+    with pytest.raises(ValueError):
+        network_from_text("")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_serialization_rejects_nonfinite_values(bad):
+    text = network_to_text(random_net(np.random.default_rng(9), (3, 4, 2)))
+    lines = text.splitlines()
+    weight_row = lines[1].split()
+    weight_row[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        network_from_text("\n".join([lines[0], " ".join(weight_row)]
+                                     + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        network_from_text("\n".join(lines[:-1] + [bad + " 0.0"]) + "\n")
+
+
+def test_serialization_text_roundtrip_is_byte_identical():
+    text = network_to_text(random_net(np.random.default_rng(9), (3, 4, 2)))
+    assert network_to_text(network_from_text(text)) == text
+
+
+class TestSharing:
+    def test_caller_array_is_copied(self):
+        W1, B1 = np.ones((2, 1)), np.zeros(2)
+        net = NeuralNetwork(((W1, B1), (np.ones((1, 2)), np.zeros(1))))
+        W1[0, 0] = 7.0
+        B1[:] = 3.0
+        assert net.layers[0][0][0, 0] == 1.0
+        assert not net.layers[0][1].any()
+        assert realize(net, np.array([1.0]))[0] == 2.0
+
+    def test_frozen_layers_are_shared(self):
+        net = random_net(np.random.default_rng(4), (2, 3, 1))
+        again = NeuralNetwork(net.layers)
+        for (W1, B1), (W2, B2) in zip(net.layers, again.layers):
+            assert W1 is W2 and B1 is B2
+
+    def test_read_only_views_are_copied(self):
+        net = random_net(np.random.default_rng(4), (2, 3, 1))
+        W, B = net.layers[0]
+        view = NeuralNetwork(((W[:, :1], B), net.layers[1]))
+        assert view.layers[0][0].base is None
+        assert view.layers[0][1] is B

@@ -166,6 +166,22 @@ class TestNoiseTreeSize:
         NoiseTree(master_seed=0, T=1.0, d=1, grid_levels=100, m=1)
 
 
+class TestNoiseTreeValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("d", 1.5), ("m", 2.5), ("grid_levels", 2.0), ("T", np.inf),
+        ("T", np.nan)])
+    def test_bad_field_rejected(self, field, value):
+        kwargs = dict(master_seed=0, T=1.0, d=1, grid_levels=2, m=2)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            NoiseTree(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        tree = NoiseTree(master_seed=0, T=1.0, d=np.int64(2),
+                         grid_levels=np.int64(2), m=np.int64(3))
+        assert tree.grid_size == 9
+
+
 class TestGridIndex:
     def test_endpoints(self):
         tree = make_tree(levels=2, m=2)
