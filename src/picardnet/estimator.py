@@ -9,8 +9,11 @@ resampled times.
 
 Two implementations share the same noise contract: ``mlp_estimate`` is the
 direct scalar recursion, and ``mlp_estimate_batch`` runs many top-level
-samples in lockstep through one structural copy of the recursion tree.  It
-caches only stream keys and queries each Brownian value at its grid point.
+samples in lockstep.  Its recursion carries one uint64 stream key per row
+and caches nothing.  The sub-estimates of a group of resampling indices k
+run as one call on stacked rows, so each call folds keys, draws uniforms,
+queries Brownian values at their grid points and evaluates the drift once
+for all of them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ from .noise import (NoiseTree, ThetaIndex, base_keys, brownian_at,
                     brownian_path_batch, fold_keys, uniform_time,
                     uniform_time_batch)
 from .problems import TestProblem
+
+# Caps that keep the working set of the batch recursion in cache: rows of
+# one group of sub-estimates (its call stacks twice as many), and numbers
+# in the widest activation of one drift evaluation.
+_GROUP_ROWS = 2048
+_DRIFT_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,12 @@ def floor_to_grid(t: float, m: int, n: int, T: float) -> float:
     if t < 0 or t > T * (1 + 1e-12):
         raise ValueError(f"time {t} outside [0, {T}]")
     G = m ** n
-    k = int(np.floor(t * G / T + 1e-9))
-    return min(k, G) * T / G
+    return int(_grid_steps(t, G, T)) * T / G
+
+
+def _grid_steps(t, G: int, T: float):
+    """Steps k of the grid point k*T/G that floor_to_grid picks for t."""
+    return np.minimum(np.floor(t * G / T + 1e-9).astype(np.int64), G)
 
 
 def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
@@ -82,47 +95,59 @@ def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
     return val
 
 
-class _BatchContext:
-    """Shared state for one lockstep run: the stream keys per suffix."""
+def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
+               n: int, m: int, t: np.ndarray, x: np.ndarray,
+               mu0: np.ndarray) -> np.ndarray:
+    """Level-n estimates for the streams of ``keys`` at times t, (len, d).
 
-    def __init__(self, problem, tree, bases):
-        self.problem = problem
-        self.tree = tree
-        self.K = len(bases)
-        self.keys = {(): base_keys(tree.master_seed, np.asarray(bases))}
-        self.mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-
-    def keys_for(self, suffix):
-        got = self.keys.get(suffix)
-        if got is None:
-            got = fold_keys(self.keys_for(suffix[:-1]), suffix[-1])
-            self.keys[suffix] = got
-        return got
-
-
-def _mlp_batch(ctx: _BatchContext, suffix: tuple, n: int, m: int,
-               t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    tree = ctx.tree
-    d = ctx.problem.d
-    if n == 0:
-        return np.zeros((ctx.K, d))
-    lvl = m ** n
-    k_lvl = np.minimum(np.floor(t * lvl / tree.T + 1e-9).astype(int), lvl)
-    fine = k_lvl * (tree.grid_size // lvl)
-    W = brownian_path_batch(tree, ctx.keys_for(suffix), fine)
-    val = x + W + t[:, None] * ctx.mu0
+    The sub-estimates of a group of k at one level ell run as one call on
+    stacked rows: the parent keys once per k, then the child keys.  Rows
+    are independent, so a call over too many rows runs in equal parts.
+    """
+    d, R = problem.d, len(keys)
+    if n == 0 or R == 0:
+        return np.zeros((R, d))
+    if R > _GROUP_ROWS:
+        return np.concatenate([
+            _mlp_batch(problem, tree, keys[b], n, m, t[b], x, mu0)
+            for b in _blocks(R, _GROUP_ROWS)])
+    G = m ** n
+    fine = _grid_steps(t, G, tree.T) * (tree.grid_size // G)
+    val = x + brownian_path_batch(tree, keys, fine) + t[:, None] * mu0
+    group = _GROUP_ROWS // R
     for ell in range(1, n):
         M = m ** (n - ell)
-        for k in range(1, M + 1):
-            child = suffix + (n, k, ell)
-            s = uniform_time_batch(ctx.keys_for(child)) * t
-            hi = np.hstack([_mlp_batch(ctx, suffix, ell, m, s, x),
-                            _mlp_batch(ctx, child, ell, m, s, x)])
-            lo = np.hstack([_mlp_batch(ctx, suffix, ell - 1, m, s, x),
-                            _mlp_batch(ctx, child, ell - 1, m, s, x)])
-            val = val + (t / M)[:, None] * (realize(ctx.problem.mu_net, hi)
-                                            - realize(ctx.problem.mu_net, lo))
+        for k0 in range(1, M + 1, group):
+            ks = np.arange(k0, min(k0 + group, M + 1))
+            child = fold_keys(fold_keys(fold_keys(keys, n), ks[:, None]),
+                              ell).ravel()
+            s = np.tile(uniform_time_batch(child) * np.tile(t, len(ks)), 2)
+            both = np.concatenate([np.tile(keys, len(ks)), child])
+            hi = _mlp_batch(problem, tree, both, ell, m, s, x, mu0)
+            lo = _mlp_batch(problem, tree, both, ell - 1, m, s, x, mu0)
+            rows = len(child)
+            mu = _drift(problem.mu_net, np.hstack([
+                np.concatenate([hi[:rows], lo[:rows]]),
+                np.concatenate([hi[rows:], lo[rows:]])]))
+            for c in (mu[:rows] - mu[rows:]).reshape(len(ks), R, d):
+                val = val + (t / M)[:, None] * c
     return val
+
+
+def _drift(mu_net, inputs: np.ndarray) -> np.ndarray:
+    """``realize(mu_net, inputs)`` in equal row blocks whose widest
+    activation holds at most _DRIFT_VALUES numbers."""
+    widest = max(W.shape[0] for W, _ in mu_net.layers)
+    return np.concatenate([
+        realize(mu_net, inputs[b])
+        for b in _blocks(len(inputs), max(1, _DRIFT_VALUES // widest))])
+
+
+def _blocks(n: int, size: int) -> list:
+    """Slices that cut range(n) into equal blocks of at most size."""
+    parts = -(-n // size)
+    cuts = [n * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def mlp_estimate_batch(problem: TestProblem, tree: NoiseTree, bases,
@@ -135,11 +160,10 @@ def mlp_estimate_batch(problem: TestProblem, tree: NoiseTree, bases,
     if n > tree.grid_levels:
         raise ValueError(
             f"level {n} exceeds grid resolution {tree.grid_levels}")
-    bases = np.asarray(list(bases), dtype=np.uint64)
-    ctx = _BatchContext(problem, tree, bases)
-    t_vec = np.full(len(bases), float(t))
-    x = np.asarray(x, dtype=np.float64)
-    return _mlp_batch(ctx, (), n, m, t_vec, x)
+    keys = base_keys(tree.master_seed, np.asarray(list(bases), np.uint64))
+    mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
+    return _mlp_batch(problem, tree, keys, n, m, np.full(len(keys), float(t)),
+                      np.asarray(x, dtype=np.float64), mu0)
 
 
 def monte_carlo_payoff(problem: TestProblem, tree: NoiseTree, K: int,

@@ -13,7 +13,11 @@ No path is stored: W(k) is the Levy-Ciesielski (Brownian-bridge) sum on the
 dyadic grid 0..P, P = 2^J >= G, W(k) = (k/P) W(P) + sum_{j<J} tent_j(k) z_j
 (Glasserman 2003, Sec. 3.1), so a query draws the J + 1 normals of the
 nodes above k: node 0 is W(P), node 2^j + i the midpoint of interval i of
-level j.  Python-int scalar and uint64 batch paths give the same values.
+level j.  Batch queries run in cache-sized blocks of keys.  A coarse index
+is a multiple of a power of two, where the tents of all finer levels are
+zero, so a block draws normals only for the nodes live at some index in it
+and sums exact zeros for the rest.  Python-int scalar and uint64 batch
+paths give the same values.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ _MUL2 = 0x94D049BB133111EB
 _PHI_U = np.uint64(_PHI)
 _MUL1_U = np.uint64(_MUL1)
 _MUL2_U = np.uint64(_MUL2)
+
+# Brownian queries run in blocks of at most this many normals, so that the
+# arrays of one block stay in cache.
+_BLOCK = 1 << 14
 
 
 def _mix(x: int) -> int:
@@ -54,8 +62,8 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
 
 
 def _to_unit(v):
-    """Map 64-bit words to the open interval (0, 1)."""
-    return ((v >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    """Map 64-bit words (a Python int or a uint64 array) to (0, 1)."""
+    return ((v >> 11) + 0.5) * 2.0 ** -53
 
 
 def theta_key(master_seed: int, theta: ThetaIndex) -> int:
@@ -70,17 +78,19 @@ def theta_key(master_seed: int, theta: ThetaIndex) -> int:
     return h
 
 
-def fold_keys(keys: np.ndarray, element: int) -> np.ndarray:
-    """Extend a batch of stream keys by one further tuple element."""
-    salt = np.uint64(_mix((element + _PHI) & _MASK))
-    return _mix_array(keys ^ salt)
+def fold_keys(keys: np.ndarray, element) -> np.ndarray:
+    """Extend stream keys by one further tuple element; ``element`` is an
+    int or an integer array that broadcasts against ``keys``."""
+    # ndmin=1 keeps the arithmetic on arrays, which wrap modulo 2**64
+    # silently; NumPy scalars would warn on the same overflow.
+    element = np.array(element, dtype=np.uint64, ndmin=1)
+    return _mix_array(keys ^ _mix_array(element + _PHI_U))
 
 
 def base_keys(master_seed: int, bases: np.ndarray) -> np.ndarray:
     """Stream keys for the single-element tuples (b,) for each b in bases."""
     b = np.asarray(bases, dtype=np.uint64)
-    seed = np.uint64(master_seed & _MASK)
-    return _mix_array(np.full_like(b, seed) ^ _mix_array(b + _PHI_U))
+    return fold_keys(np.full_like(b, master_seed & _MASK), b)
 
 
 def _values(key_arr: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -135,8 +145,7 @@ class NoiseTree:
 def uniform_time(tree: NoiseTree, theta: ThetaIndex) -> float:
     """The uniform variate on (0, 1) attached to one index tuple."""
     h = theta_key(tree.master_seed, tuple(theta))
-    v = _mix(h + _PHI)
-    return float((((v >> 11)) + 0.5) * 2.0 ** -53)
+    return _to_unit(_mix(h + _PHI))
 
 
 def uniform_time_batch(keys: np.ndarray) -> np.ndarray:
@@ -156,13 +165,40 @@ def brownian_path_batch(tree: NoiseTree, keys: np.ndarray,
     k = np.asarray(idx, dtype=np.int64)
     if k.shape != keys.shape or k.min(initial=0) < 0 or k.max(initial=0) > G:
         raise ValueError(f"need one grid index in [0, {G}] per key")
+    out = np.empty((len(keys), tree.d))
+    step = max(1, _BLOCK // tree._bridge[-1].size)
+    for lo in range(0, len(keys), step):
+        out[lo:lo + step] = _bridge_sum(tree, keys[lo:lo + step],
+                                        k[lo:lo + step])
+    return out
+
+
+def _bridge_sum(tree: NoiseTree, keys: np.ndarray,
+                k: np.ndarray) -> np.ndarray:
+    """W at grid indices k for one block of keys.
+
+    The tents of column c have span 2^shift[c] and vanish at its
+    multiples, so the column is live in the block iff its span exceeds
+    o & -o, the largest power of two dividing every index (o is their
+    bitwise or).  Spans halve from column to column, so the live columns
+    come first.  Only they draw normals; the others add exact zeros to the
+    sum over every column, which keeps the order of the additions and so
+    every value.
+    """
     shift, span, last, scale, counter = tree._bridge
-    cell = np.minimum(k[:, None] >> shift, last)
-    r = k[:, None] - (cell << shift)
-    weight = np.minimum(r, span - r) * scale
-    counters = (cell * tree.d)[:, None, :] + counter
-    z = ndtri(_to_unit(_values(keys[:, None, None], counters.view(np.uint64))))
-    return (z * weight[:, None, :]).sum(axis=-1)
+    o = int(np.bitwise_or.reduce(k, initial=0))
+    live = len(shift) + 1 - (o & -o).bit_length() if o else 0
+    cell = np.minimum(k[:, None] >> shift[:live], last[:live])
+    r = k[:, None] - (cell << shift[:live])
+    weight = np.minimum(r, span[:live] - r) * scale[:live]
+    counters = (cell * tree.d)[:, None, :] + counter[:, :live]
+    z = ndtri(_to_unit(_values(keys[:, None, None],
+                               counters.view(np.uint64))))
+    terms = z * weight[:, None, :]
+    if live < len(span):
+        terms = np.concatenate(
+            [terms, np.zeros(terms.shape[:2] + (len(span) - live,))], axis=-1)
+    return terms.sum(axis=-1)
 
 
 def grid_index(tree: NoiseTree, t: float) -> int:
@@ -178,4 +214,4 @@ def grid_index(tree: NoiseTree, t: float) -> int:
 def brownian_at(tree: NoiseTree, theta: ThetaIndex, t: float) -> np.ndarray:
     """Brownian value W^theta(t) at a finest-grid time, shape (d,)."""
     key = np.array([theta_key(tree.master_seed, tuple(theta))], np.uint64)
-    return brownian_path_batch(tree, key, [grid_index(tree, t)])[0]
+    return _bridge_sum(tree, key, np.array([grid_index(tree, t)]))[0]

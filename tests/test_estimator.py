@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picardnet.estimator import (MlpParams, floor_to_grid, mlp_estimate,
                                  mlp_estimate_batch, monte_carlo_payoff)
@@ -124,6 +126,40 @@ class TestBatch:
         out = mlp_estimate_batch(prob, make_tree(), [1, 2, 3], 0, 2, 1.0,
                                  np.ones(1))
         np.testing.assert_array_equal(out, np.zeros((3, 1)))
+
+    def test_rows_independent_of_batch_bitwise(self):
+        # 3000 rows run in parts, one k per group and two noise blocks per
+        # query (910 keys each on this grid); a single row runs every k in
+        # one group and one block.  Coarse queries skip dead bridge nodes.
+        prob = linear_problem(2, a=0.2, b=-0.3)
+        tree = make_tree(seed=17, d=2, levels=8, m=2)
+        x = np.array([0.3, -0.6])
+        bases = range(1, 3001)
+        batch = mlp_estimate_batch(prob, tree, bases, 2, 2, 0.85, x)
+        for row, b in zip(batch, bases):
+            np.testing.assert_array_equal(
+                row, mlp_estimate_batch(prob, tree, [b], 2, 2, 0.85, x)[0])
+
+    def test_empty_batch(self):
+        prob = linear_problem(2)
+        out = mlp_estimate_batch(prob, make_tree(d=2), [], 2, 2, 1.0,
+                                 np.ones(2))
+        assert out.shape == (0, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 3), m=st.integers(1, 3),
+       frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 63 - 1),
+       bases=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3))
+def test_batch_matches_scalar_property(d, n, m, frac, seed, bases):
+    prob = linear_problem(d, a=0.3, b=-0.4)
+    tree = NoiseTree(master_seed=seed, T=1.5, d=d, grid_levels=n, m=m)
+    t, x = frac * tree.T, np.linspace(-1.0, 1.0, d)
+    batch = mlp_estimate_batch(prob, tree, bases, n, m, t, x)
+    for row, b in zip(batch, bases):
+        scalar = mlp_estimate(prob, tree, (b,), n, m, t, x)
+        scale = max(1.0, float(np.max(np.abs(scalar))))
+        assert np.max(np.abs(row - scalar)) <= 1e-8 * scale
 
 
 class TestMonteCarloPayoff:

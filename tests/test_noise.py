@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -132,7 +134,48 @@ class TestBridgeOffPowerOfTwoGrid:
                 brownian_path_batch(tree, keys, idx)
 
 
+class TestCoarseQueries:
+    """On dyadic grids, an index of a coarser level is a multiple of a power
+    of two, where every finer bridge node has a zero tent and is skipped."""
+
+    @pytest.mark.parametrize("m, levels", [(2, 6), (4, 3)])
+    def test_point_queries_match_whole_path_bitwise(self, m, levels):
+        tree = make_tree(seed=41, d=2, levels=levels, m=m)
+        keys = base_keys(tree.master_seed, np.arange(1, 201))
+        whole = brownian_path_batch(tree, keys)
+        rows, rng = np.arange(len(keys)), np.random.default_rng(m)
+        for level in range(levels + 1):
+            step = tree.grid_size // m ** level
+            idx = rng.integers(0, m ** level + 1, len(keys)) * step
+            np.testing.assert_array_equal(
+                brownian_path_batch(tree, keys, idx), whole[rows, idx])
+
+    def test_origin_is_exactly_zero(self):
+        tree = make_tree(seed=3, d=3, levels=4, m=2)
+        keys = base_keys(tree.master_seed, np.arange(1, 101))
+        at_zero = brownian_path_batch(tree, keys, np.zeros(100, dtype=int))
+        np.testing.assert_array_equal(at_zero, np.zeros((100, 3)))
+        mixed = brownian_path_batch(tree, keys, np.arange(100) % 2 * 5)
+        np.testing.assert_array_equal(mixed[::2], np.zeros((50, 3)))
+        assert np.all(mixed[1::2] != 0)
+
+
 class TestKeys:
+    def test_array_element_folds_without_warning(self):
+        seed, bases = 4242, np.arange(1, 4)
+        keys = base_keys(seed, bases)
+        elements = np.array([0, 7, 2 ** 64 - 1], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = fold_keys(keys[None, :], elements[:, None])
+            scalar = fold_keys(keys, np.uint64(2 ** 64 - 1))
+            zero_dim = fold_keys(keys, np.array(2 ** 64 - 1, np.uint64))
+        for i, e in enumerate(elements):
+            for j, b in enumerate(bases):
+                assert int(grid[i, j]) == theta_key(seed, (int(b), int(e)))
+        np.testing.assert_array_equal(scalar, grid[2])
+        np.testing.assert_array_equal(zero_dim, grid[2])
+
     def test_batch_matches_scalar(self):
         seed = 4242
         bases = np.arange(1, 50)
