@@ -5,7 +5,8 @@ the law of the solution: X(t) = x + int_0^t E[mu(y, X(s))]|_{y=X(s)} ds + W(t).
 The estimator replaces the expectation by recursive resampling over a tree of
 noise indices.  Level 0 is zero; level n adds the Brownian term, t*mu(0,0),
 and telescoping corrections between consecutive lower levels evaluated at
-resampled times.
+resampled times.  The lower term of a level-1 correction is thus mu(0,0),
+which both implementations reuse rather than evaluate the drift at zeros.
 
 Two implementations share the same noise contract: ``mlp_estimate`` is the
 direct scalar recursion, and ``mlp_estimate_batch`` runs many top-level
@@ -87,11 +88,10 @@ def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
             hi = np.concatenate([
                 mlp_estimate(problem, tree, theta, ell, m, s, x),
                 mlp_estimate(problem, tree, child, ell, m, s, x)])
-            lo = np.concatenate([
+            lo = mu0 if ell == 1 else realize(problem.mu_net, np.concatenate([
                 mlp_estimate(problem, tree, theta, ell - 1, m, s, x),
-                mlp_estimate(problem, tree, child, ell - 1, m, s, x)])
-            val = val + (t / M) * (realize(problem.mu_net, hi)
-                                   - realize(problem.mu_net, lo))
+                mlp_estimate(problem, tree, child, ell - 1, m, s, x)]))
+            val = val + (t / M) * (realize(problem.mu_net, hi) - lo)
     return val
 
 
@@ -123,13 +123,14 @@ def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
                               ell).ravel()
             s = np.tile(uniform_time_batch(child) * np.tile(t, len(ks)), 2)
             both = np.concatenate([np.tile(keys, len(ks)), child])
-            hi = _mlp_batch(problem, tree, both, ell, m, s, x, mu0)
-            lo = _mlp_batch(problem, tree, both, ell - 1, m, s, x, mu0)
             rows = len(child)
-            mu = _drift(problem.mu_net, np.hstack([
-                np.concatenate([hi[:rows], lo[:rows]]),
-                np.concatenate([hi[rows:], lo[rows:]])]))
-            for c in (mu[:rows] - mu[rows:]).reshape(len(ks), R, d):
+            # A level-0 estimate is zero, and the drift there is mu0.
+            est = [_mlp_batch(problem, tree, both, lv, m, s, x, mu0)
+                   for lv in ((ell, ell - 1) if ell > 1 else (ell,))]
+            mu = _drift(problem.mu_net, np.concatenate(
+                [np.hstack([e[:rows], e[rows:]]) for e in est]))
+            mu_lo = mu[rows:] if ell > 1 else mu0
+            for c in (mu[:rows] - mu_lo).reshape(len(ks), R, d):
                 val = val + (t / M)[:, None] * c
     return val
 

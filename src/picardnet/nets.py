@@ -109,6 +109,8 @@ def realize(net: NeuralNetwork, x: np.ndarray) -> np.ndarray:
 
     ``x`` may be a single input vector of length k_0 or a batch of shape
     (batch, k_0); the output has matching shape with k_{H+1} columns.
+    Each layer adds its bias and applies the ReLU in place on its product,
+    a fresh array, so ``x`` is never written.
     """
     x = np.asarray(x, dtype=np.float64)
     batched = x.ndim == 2
@@ -121,9 +123,10 @@ def realize(net: NeuralNetwork, x: np.ndarray) -> np.ndarray:
     h = x
     last = len(net.layers) - 1
     for n, (W, B) in enumerate(net.layers):
-        h = (h @ W.T + B) if batched else (W @ h + B)
+        h = h @ W.T if batched else W @ h
+        h += B
         if n != last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 

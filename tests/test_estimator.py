@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import picardnet.estimator
 from picardnet.estimator import (MlpParams, floor_to_grid, mlp_estimate,
                                  mlp_estimate_batch, monte_carlo_payoff)
 from picardnet.nets import realize
@@ -145,6 +146,42 @@ class TestBatch:
         out = mlp_estimate_batch(prob, make_tree(d=2), [], 2, 2, 1.0,
                                  np.ones(2))
         assert out.shape == (0, 2)
+
+
+def drift_rows(n, m):
+    """D(n): drift rows per sample of a level-n batch estimate.
+
+    Each correction evaluates the drift on its level-ell row and, for
+    ell > 1, on its level-(ell - 1) row (at ell = 1 that term is mu(0, 0));
+    its two sub-estimates at each of those levels add their own rows.
+    """
+    return sum(m ** (n - ell) * (2 - (ell == 1) + 2 * drift_rows(ell, m)
+                                 + 2 * drift_rows(ell - 1, m))
+               for ell in range(1, n))
+
+
+@pytest.mark.parametrize("n, m, per_sample", [(2, 2, 2), (3, 3, 33),
+                                              (4, 4, 712)])
+def test_batch_drift_rows_skip_level_zero(monkeypatch, n, m, per_sample):
+    prob = linear_problem(2, a=0.2, b=-0.3)
+    tree = make_tree(seed=5, d=2, levels=n, m=m)
+    rows, vectors = [], []
+
+    def counting_realize(net, x):
+        if net is prob.mu_net:
+            if np.ndim(x) == 2:
+                rows.append(len(x))
+            else:
+                vectors.append(x)
+        return realize(net, x)
+
+    monkeypatch.setattr(picardnet.estimator, "realize", counting_realize)
+    K = 3
+    mlp_estimate_batch(prob, tree, range(1, K + 1), n, m, 1.0, np.ones(2))
+    assert drift_rows(n, m) == per_sample
+    assert sum(rows) == K * per_sample
+    # mu(0, 0), evaluated once as a single vector
+    assert len(vectors) == 1 and not np.any(vectors[0])
 
 
 @settings(max_examples=25, deadline=None)

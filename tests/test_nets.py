@@ -80,6 +80,63 @@ class TestRealize:
             realize(net, np.zeros(3))
 
 
+class TestRealizeInPlace:
+    def test_input_never_written(self):
+        rng = np.random.default_rng(7)
+        narrow = random_net(rng, (1, 5, 2))
+        wide = random_net(rng, (4, 6, 3, 2))
+        cases = [(narrow, np.array(0.7)), (narrow, np.array([-0.4])),
+                 (wide, rng.standard_normal(4)),
+                 (wide, rng.standard_normal((6, 4)))]
+        for net, x in cases:
+            before = x.copy()
+            realize(net, x)
+            assert x.tobytes() == before.tobytes()
+            x.flags.writeable = False
+            realize(net, x)
+
+    def test_writing_result_leaves_layers(self):
+        rng = np.random.default_rng(8)
+        net = random_net(rng, (3, 4, 2))
+        saved = [(W.copy(), B.copy()) for W, B in net.layers]
+        for x in (rng.standard_normal(3), rng.standard_normal((5, 3))):
+            out = realize(net, x)
+            expected = out.copy()
+            out[...] = 123.0
+            for (W, B), (W0, B0) in zip(net.layers, saved):
+                assert W.tobytes() == W0.tobytes()
+                assert B.tobytes() == B0.tobytes()
+            assert realize(net, x).tobytes() == expected.tobytes()
+
+    def test_bitwise_naive_oracle(self):
+        # Small integers make every product and sum exact, so the oracle's
+        # summation order gives the same bits as the matrix products.
+        rng = np.random.default_rng(11)
+        widths = (4, 7, 5, 3)
+        net = NeuralNetwork(tuple(
+            (rng.integers(-4, 5, (widths[i], widths[i - 1])).astype(float),
+             rng.integers(-4, 5, widths[i]).astype(float))
+            for i in range(1, len(widths))))
+        xs = rng.integers(-8, 9, (9, 4)).astype(float)
+        batch = realize(net, xs)
+        for x, row in zip(xs, batch):
+            oracle = naive_forward(net, x).tobytes()
+            assert row.tobytes() == oracle
+            assert realize(net, x).tobytes() == oracle
+
+    def test_bitwise_allocating_forward(self):
+        # The same arithmetic with a fresh array for every operation.
+        rng = np.random.default_rng(12)
+        net = random_net(rng, (3, 9, 6, 2))
+        for x in (rng.standard_normal(3), rng.standard_normal((40, 3))):
+            h = x
+            for n, (W, B) in enumerate(net.layers):
+                h = (h @ W.T + B) if x.ndim == 2 else (W @ h + B)
+                if n != len(net.layers) - 1:
+                    h = np.maximum(h, 0.0)
+            assert realize(net, x).tobytes() == h.tobytes()
+
+
 class TestParamCount:
     def test_2442(self):
         rng = np.random.default_rng(0)

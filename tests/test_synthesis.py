@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picardnet.estimator import (floor_to_grid, mlp_estimate,
                                  monte_carlo_payoff)
@@ -64,6 +66,22 @@ class TestMlpSynthesis:
         rep = synthesize_mlp_network(prob, tree, (1,), 2, 2, 1.0)
         assert rep.param_count == param_count(rep.network)
         assert rep.param_count <= 2 * rep.depth * rep.width_supnorm ** 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(1, 2), n=st.integers(1, 2), m=st.integers(1, 2),
+       frac=st.floats(0.0, 1.0),
+       seed=st.sampled_from([0, 41, 2 ** 40 + 3, 2 ** 63 - 1]))
+def test_network_matches_scalar_property(d, n, m, frac, seed):
+    prob = linear_problem(d, a=0.3, b=-0.4)
+    tree = NoiseTree(master_seed=seed, T=1.5, d=d, grid_levels=n, m=m)
+    t = frac * tree.T
+    rep = synthesize_mlp_network(prob, tree, (1,), n, m, t)
+    assert rep.depth == rep.predicted_depth
+    assert rep.width_supnorm <= rep.predicted_width_bound
+    for x in (np.linspace(-1.0, 1.0, d), np.full(d, 2.5)):
+        direct = mlp_estimate(prob, tree, (1,), n, m, t, x)
+        assert rel_err(realize(rep.network, x), direct) <= 1e-8
 
 
 class TestMcSynthesis:
