@@ -4,8 +4,8 @@ constructive ReLU-network calculus that realizes them exactly."""
 from .calculus import (affine_wrap, compose, dim_compose, dim_merge, dim_sum,
                        extend_depth, identity_dims, identity_network, merge,
                        scaled_sum, zero_network)
-from .estimator import (MlpParams, floor_to_grid, mlp_estimate,
-                        mlp_estimate_batch, monte_carlo_payoff)
+from .estimator import (floor_to_grid, mlp_estimate, mlp_estimate_batch,
+                        monte_carlo_payoff)
 from .nets import (DimVector, NeuralNetwork, dim_supnorm, dims,
                    network_from_text, network_to_text, param_count, realize,
                    relu)

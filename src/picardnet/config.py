@@ -41,9 +41,12 @@ class ExperimentConfig:
             raise ValueError("dimensions must be positive")
         if self.problem not in ("linear", "constant"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        if not 0 < self.horizon < float("inf"):
+            raise ValueError(f"horizon must lie in (0, inf): {self.horizon}")
         for key, low in (("mc_samples", 1), ("particles", 2), ("level_cap", 0),
                          ("points", 1), ("euler_steps", 1),
-                         ("convergence_seeds", 1)):
+                         ("convergence_seeds", 1), ("partner_count", 1),
+                         ("seed_budget", 1)):
             if getattr(self, key) < low:
                 raise ValueError(
                     f"{key} must be >= {low}, got {getattr(self, key)}")

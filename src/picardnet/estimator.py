@@ -10,16 +10,16 @@ which both implementations reuse rather than evaluate the drift at zeros.
 
 Two implementations share the same noise contract: ``mlp_estimate`` is the
 direct scalar recursion, and ``mlp_estimate_batch`` runs many top-level
-samples in lockstep.  Its recursion carries one uint64 stream key per row
-and caches nothing.  The sub-estimates of a group of resampling indices k
-run as one call on stacked rows, so each call folds keys, draws uniforms,
+samples in lockstep.  Each entry point, the synthesis ones included, checks
+its arguments once and realizes mu(0,0) once; the recursions take both as
+given.  The batch recursion carries one uint64 stream key per row and
+caches nothing.  The sub-estimates of a group of resampling indices k run
+as one call on stacked rows, so each call folds keys, draws uniforms,
 queries Brownian values at their grid points and evaluates the drift once
 for all of them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +34,6 @@ from .problems import TestProblem
 # in the widest activation of one drift evaluation.
 _GROUP_ROWS = 2048
 _DRIFT_VALUES = 1 << 18
-
-
-@dataclass(frozen=True)
-class MlpParams:
-    """Estimator knobs: levels n, branching base m, sample count K, time t."""
-
-    n: int
-    m: int
-    K: int
-    t: float
-
-    def __post_init__(self):
-        if self.n < 0 or self.m < 1 or self.K < 1 or self.t < 0:
-            raise ValueError(f"invalid estimator parameters {self}")
 
 
 def floor_to_grid(t: float, m: int, n: int, T: float) -> float:
@@ -67,18 +53,43 @@ def _grid_steps(t, G: int, T: float):
     return np.minimum(np.floor(t * G / T + 1e-9).astype(np.int64), G)
 
 
+def _check_args(problem: TestProblem, tree: NoiseTree, n, m, t, x=None,
+                bases=()):
+    """Raise a ValueError naming the first argument outside the recursion's
+    contract (every queried time on the tree's grid); return x as float64."""
+    for name, v, low in (("n", n, 0), ("m", m, 1)):
+        if not isinstance(v, (int, np.integer)) or v < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    if n > tree.grid_levels or tree.grid_size % m ** n:
+        raise ValueError(f"level n = {n} with m = {m} is off the grid of "
+                         f"{tree.m}**{tree.grid_levels} steps")
+    if not 0 <= t <= tree.T * (1 + 1e-12):
+        raise ValueError(f"time t = {t!r} outside [0, {tree.T}]")
+    if tree.d != problem.d:
+        raise ValueError(f"tree.d = {tree.d} != problem.d = {problem.d}")
+    for b in bases:
+        if not isinstance(b, (int, np.integer)) or not 0 <= b < 2 ** 64:
+            raise ValueError(f"base or theta entry {b!r} is not an integer "
+                             "in [0, 2**64)")
+    if x is not None and np.shape(x) != (problem.d,):
+        raise ValueError(f"x has shape {np.shape(x)}, not ({problem.d},)")
+    return None if x is None else np.asarray(x, dtype=np.float64)
+
+
 def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
                  n: int, m: int, t: float, x: np.ndarray) -> np.ndarray:
     """Level-n estimate of the state at time t started from x, scalar path."""
-    d = problem.d
-    if n > tree.grid_levels:
-        raise ValueError(
-            f"level {n} exceeds grid resolution {tree.grid_levels}")
-    if n == 0:
-        return np.zeros(d)
     theta = tuple(theta)
-    x = np.asarray(x, dtype=np.float64)
-    mu0 = realize(problem.mu_net, np.zeros(2 * d))
+    x = _check_args(problem, tree, n, m, t, x, theta)
+    mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
+    return _mlp_scalar(problem, tree, theta, n, m, t, x, mu0)
+
+
+def _mlp_scalar(problem: TestProblem, tree: NoiseTree, theta: tuple, n: int,
+                m: int, t: float, x: np.ndarray, mu0: np.ndarray):
+    """The recursion of ``mlp_estimate`` on checked arguments."""
+    if n == 0:
+        return np.zeros(problem.d)
     val = x + brownian_at(tree, theta, floor_to_grid(t, m, n, tree.T)) + t * mu0
     for ell in range(1, n):
         M = m ** (n - ell)
@@ -86,11 +97,11 @@ def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
             child = theta + (n, k, ell)
             s = uniform_time(tree, child) * t
             hi = np.concatenate([
-                mlp_estimate(problem, tree, theta, ell, m, s, x),
-                mlp_estimate(problem, tree, child, ell, m, s, x)])
+                _mlp_scalar(problem, tree, theta, ell, m, s, x, mu0),
+                _mlp_scalar(problem, tree, child, ell, m, s, x, mu0)])
             lo = mu0 if ell == 1 else realize(problem.mu_net, np.concatenate([
-                mlp_estimate(problem, tree, theta, ell - 1, m, s, x),
-                mlp_estimate(problem, tree, child, ell - 1, m, s, x)]))
+                _mlp_scalar(problem, tree, theta, ell - 1, m, s, x, mu0),
+                _mlp_scalar(problem, tree, child, ell - 1, m, s, x, mu0)]))
             val = val + (t / M) * (realize(problem.mu_net, hi) - lo)
     return val
 
@@ -158,13 +169,12 @@ def mlp_estimate_batch(problem: TestProblem, tree: NoiseTree, bases,
     Sample b of the output equals ``mlp_estimate`` with theta = (b,) up to
     floating-point reassociation in the matrix products.
     """
-    if n > tree.grid_levels:
-        raise ValueError(
-            f"level {n} exceeds grid resolution {tree.grid_levels}")
-    keys = base_keys(tree.master_seed, np.asarray(list(bases), np.uint64))
+    bases = list(bases)
+    x = _check_args(problem, tree, n, m, t, x, bases)
+    keys = base_keys(tree.master_seed, np.asarray(bases, np.uint64))
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
     return _mlp_batch(problem, tree, keys, n, m, np.full(len(keys), float(t)),
-                      np.asarray(x, dtype=np.float64), mu0)
+                      x, mu0)
 
 
 def monte_carlo_payoff(problem: TestProblem, tree: NoiseTree, K: int,

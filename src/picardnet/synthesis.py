@@ -5,7 +5,8 @@ start point x, exactly representable by a ReLU network: the Brownian and
 t*mu(0,0) contributions become constants baked into an affine-wrapped
 identity network, and each telescoping correction becomes the drift network
 composed with a merged pair of lower-level networks, depth-padded with
-identity networks so that all summands can be combined by ``scaled_sum``.
+identity layers (``extend_depth``) so that all summands can be combined by
+``scaled_sum``.
 
 The same machinery stacks K payoff-composed copies into a single network
 realizing the Monte Carlo average, and a parameter-selection pipeline wires
@@ -16,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.stats import qmc
 
-from .calculus import (affine_wrap, compose, identity_network, merge,
-                       scaled_sum, zero_network)
-from .estimator import floor_to_grid
+from .calculus import (affine_wrap, compose, extend_depth, identity_network,
+                       merge, scaled_sum, zero_network)
+from .estimator import _check_args, floor_to_grid
 from .nets import NeuralNetwork, dim_supnorm, dims, param_count, realize
 from .noise import NoiseTree, ThetaIndex, brownian_at, uniform_time
 from .problems import TestProblem
@@ -40,39 +40,28 @@ class SynthesisReport:
     predicted_width_bound: int
 
 
-def _dims_len(n: int, depth_mu: int) -> int:
-    """Dims-vector length of the level-n network: n(depth_mu - 1) + 3."""
-    return n * (depth_mu - 1) + 3
-
-
-def _mlp_net(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
-             n: int, m: int, t: float) -> NeuralNetwork:
-    d = problem.d
-    depth_mu = len(dims(problem.mu_net))
-    L = _dims_len(n, depth_mu)
+def _mlp_net(problem: TestProblem, tree: NoiseTree, theta: tuple,
+             n: int, m: int, t: float, mu0: np.ndarray) -> NeuralNetwork:
+    """The level-n network on checked arguments, mu0 = mu(0, 0).  It and
+    each of its summands have H = n * len(mu_net.layers) + 1 hidden layers."""
+    d, mu_net = problem.d, problem.mu_net
     if n == 0:
         return zero_network(d, d, 3)
-    mu0 = realize(problem.mu_net, np.zeros(2 * d))
+    H = n * len(mu_net.layers) + 1
     const = brownian_at(tree, theta, floor_to_grid(t, m, n, tree.T)) + t * mu0
-    nets = [affine_wrap(identity_network(d, L - 2), 1.0, np.zeros(d), const)]
+    nets = [affine_wrap(identity_network(d, H), 1.0, np.zeros(d), const)]
     coeffs = [1.0]
     for ell in range(1, n):
         M = m ** (n - ell)
         for k in range(1, M + 1):
-            child = tuple(theta) + (n, k, ell)
+            child = theta + (n, k, ell)
             s = uniform_time(tree, child) * t
-            hi = merge([_mlp_net(problem, tree, theta, ell, m, s),
-                        _mlp_net(problem, tree, child, ell, m, s)])
-            pad_hi = L - _dims_len(ell, depth_mu) - depth_mu + 2
-            if pad_hi > 1:
-                hi = compose(identity_network(2 * d, pad_hi - 2), hi)
-            lo = merge([_mlp_net(problem, tree, theta, ell - 1, m, s),
-                        _mlp_net(problem, tree, child, ell - 1, m, s)])
-            pad_lo = L - _dims_len(ell - 1, depth_mu) - depth_mu + 2
-            lo = compose(identity_network(2 * d, pad_lo - 2), lo)
-            nets.extend([compose(problem.mu_net, hi),
-                         compose(problem.mu_net, lo)])
-            coeffs.extend([t / M, -t / M])
+            for lv, h in ((ell, t / M), (ell - 1, -t / M)):
+                pair = merge([_mlp_net(problem, tree, theta, lv, m, s, mu0),
+                              _mlp_net(problem, tree, child, lv, m, s, mu0)])
+                pad = H + 1 - len(mu_net.layers) - len(pair.layers)
+                nets.append(compose(mu_net, extend_depth(pair, pad)))
+                coeffs.append(h)
     return scaled_sum(nets, coeffs)
 
 
@@ -103,12 +92,11 @@ def synthesize_mlp_network(problem: TestProblem, tree: NoiseTree,
                            t: float) -> SynthesisReport:
     """Network equal (in x) to the level-n estimate at time t, with the
     depth law n(depth_mu - 1) + 3 and width bound c (5m)^n."""
-    if n > tree.grid_levels:
-        raise ValueError(
-            f"level {n} exceeds grid resolution {tree.grid_levels}")
-    net = _mlp_net(problem, tree, tuple(theta), n, m, t)
-    depth_mu = len(dims(problem.mu_net))
-    return _report(net, _dims_len(n, depth_mu),
+    theta = tuple(theta)
+    _check_args(problem, tree, n, m, t, bases=theta)
+    mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
+    net = _mlp_net(problem, tree, theta, n, m, t, mu0)
+    return _report(net, n * (len(dims(problem.mu_net)) - 1) + 3,
                    mlp_width_constant(problem) * (5 * m) ** n)
 
 
@@ -118,12 +106,13 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
     with depth depth_f + n(depth_mu - 1) + 2 and width bound K c (5m)^n."""
     if K < 1:
         raise ValueError("need K >= 1")
+    _check_args(problem, tree, n, m, tree.T)
+    mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
     parts = [compose(problem.f_net,
-                     _mlp_net(problem, tree, (i,), n, m, tree.T))
+                     _mlp_net(problem, tree, (i,), n, m, tree.T, mu0))
              for i in range(1, K + 1)]
     net = scaled_sum(parts, [1.0 / K] * K)
-    depth_mu = len(dims(problem.mu_net))
-    depth_f = len(dims(problem.f_net))
+    depth_f, depth_mu = len(dims(problem.f_net)), len(dims(problem.mu_net))
     return _report(net, depth_f + n * (depth_mu - 1) + 2,
                    K * mc_width_constant(problem) * (5 * m) ** n)
 
@@ -155,8 +144,7 @@ class PipelineResult:
 
 def theorem_pipeline(problem: TestProblem, epsilon: float, delta: float,
                      level_cap: int = 2, seed_budget: int = 50,
-                     base_seed: int = 0, points: int = 1024,
-                     oracle=None) -> PipelineResult:
+                     base_seed: int = 0, points: int = 1024) -> PipelineResult:
     """Select parameters, synthesize the Monte Carlo network, and retry over
     master seeds until the measured L2([0,1]^d) error drops below epsilon.
 
@@ -172,11 +160,9 @@ def theorem_pipeline(problem: TestProblem, epsilon: float, delta: float,
     m = max(n_used, 1)
     K = max(n_used ** n_used, 1)
     xs = probe_points(d, points)
-    if oracle is None:
-        if problem.closed_form is None:
-            raise ValueError("problem needs a closed form or an oracle")
-        oracle = problem.closed_form
-    truth = np.array([oracle(x, T) for x in xs])
+    if problem.closed_form is None:
+        raise ValueError("problem needs a closed form")
+    truth = np.array([problem.closed_form(x, T) for x in xs])
     best = None
     for i in range(seed_budget):
         tree = NoiseTree(master_seed=base_seed + i, T=T, d=d,

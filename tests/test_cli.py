@@ -65,6 +65,19 @@ class TestConfigParsing:
             parse_config(f"{key} = {value}\n")
         ExperimentConfig(**{key: value + 1}).validate()
 
+    # Each value would fail mid-run (in ParticleConfig, TestProblem or
+    # theorem_pipeline), so validation must reject it up front.
+    @pytest.mark.parametrize("key, value", [
+        ("partner_count", 0), ("seed_budget", 0), ("horizon", -1.0),
+        ("horizon", float("nan"))])
+    def test_run_breaking_value_rejected(self, key, value, tmp_path, capsys):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**{key: value}).validate()
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}")
+
 
 class TestCli:
     def write_config(self, tmp_path, text=SMALL):

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import picardnet.estimator
-from picardnet.estimator import (MlpParams, floor_to_grid, mlp_estimate,
+import picardnet.synthesis
+from picardnet.estimator import (floor_to_grid, mlp_estimate,
                                  mlp_estimate_batch, monte_carlo_payoff)
 from picardnet.nets import realize
 from picardnet.noise import NoiseTree, brownian_at, uniform_time
 from picardnet.problems import constant_problem, linear_problem
+from picardnet.synthesis import synthesize_mc_network, synthesize_mlp_network
 
 
 def make_tree(seed=0, T=1.0, d=1, levels=2, m=2):
@@ -251,10 +253,90 @@ def test_linear_drift_sanity():
     assert err <= 0.1 * abs(truth)
 
 
-def test_mlp_params_validation():
-    with pytest.raises(ValueError):
-        MlpParams(n=-1, m=2, K=1, t=0.5)
-    with pytest.raises(ValueError):
-        MlpParams(n=1, m=0, K=1, t=0.5)
-    p = MlpParams(n=2, m=2, K=4, t=0.5)
-    assert (p.n, p.m, p.K, p.t) == (2, 2, 4, 0.5)
+def entry_points(n=2, m=2, t=1.0, base=1, x=(1.0,)):
+    """Every public entry point of the recursion on linear_problem(1) and a
+    tree with m = 2, grid_levels = 2, T = 1; the defaults are valid."""
+    prob, tree = linear_problem(1), make_tree()
+    return {
+        "scalar": lambda: mlp_estimate(prob, tree, (base,), n, m, t, x),
+        "batch": lambda: mlp_estimate_batch(prob, tree, [base], n, m, t, x),
+        "payoff": lambda: monte_carlo_payoff(prob, tree, 1, n, m, x),
+        "network": lambda: synthesize_mlp_network(prob, tree, (base,), n, m,
+                                                  t),
+        "mc_network": lambda: synthesize_mc_network(prob, tree, 1, n, m),
+    }
+
+
+TAKE_T = ("scalar", "batch", "network")
+
+
+class TestEntryCheck:
+    def test_defaults_are_valid(self):
+        for call in entry_points().values():
+            call()
+
+    # Each case names the entry points that take the argument.
+    @pytest.mark.parametrize("bad, match, takers", [
+        (dict(m=0), "m must", None),
+        (dict(m=3), "m = 3", None),
+        (dict(n=-1), "n must", None),
+        (dict(t=2.0), "time t", TAKE_T),
+        (dict(t=float("nan")), "time t", TAKE_T),
+        (dict(base=-1), "base", TAKE_T),
+        (dict(x=(1.0, 2.0, 3.0)), "x has shape", ("scalar", "batch", "payoff")),
+    ], ids=["m0", "m3-on-m2-tree", "n-1", "t-above-T", "t-nan", "base-1",
+            "x-length-3"])
+    def test_rejects(self, bad, match, takers):
+        calls = entry_points(**bad)
+        for name in takers or calls:
+            with pytest.raises(ValueError, match=match):
+                calls[name]()
+
+    def test_tree_dimension_must_match(self):
+        prob = linear_problem(2)
+        with pytest.raises(ValueError, match="tree.d"):
+            mlp_estimate_batch(prob, make_tree(d=1), [1], 2, 2, 1.0,
+                               np.ones(2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(-1, 4), m=st.integers(0, 5),
+       t=st.one_of(st.floats(-0.5, 2.0), st.just(float("nan"))))
+def test_scalar_and_batch_accept_the_same_inputs(n, m, t):
+    prob = linear_problem(2, a=0.3, b=-0.4)
+    tree = NoiseTree(master_seed=7, T=1.5, d=2, grid_levels=3, m=2)
+    x = np.array([0.5, -1.0])
+    outcomes = []
+    for call in (lambda: mlp_estimate(prob, tree, (3,), n, m, t, x),
+                 lambda: mlp_estimate_batch(prob, tree, [3], n, m, t, x)[0]):
+        try:
+            outcomes.append(call())
+        except ValueError:
+            outcomes.append(None)
+    scalar, batch = outcomes
+    assert (scalar is None) == (batch is None)
+    if scalar is not None:
+        scale = max(1.0, float(np.max(np.abs(scalar))))
+        assert np.max(np.abs(batch - scalar)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("module, call", [
+    (picardnet.estimator,
+     lambda p, tr: mlp_estimate(p, tr, (1,), 3, 3, 0.8, np.ones(1))),
+    (picardnet.synthesis,
+     lambda p, tr: synthesize_mlp_network(p, tr, (1,), 3, 3, 0.8)),
+    (picardnet.synthesis,
+     lambda p, tr: synthesize_mc_network(p, tr, 2, 3, 3)),
+], ids=["mlp_estimate", "synthesize_mlp_network", "synthesize_mc_network"])
+def test_mu0_realized_once_per_call(monkeypatch, module, call):
+    prob = linear_problem(1, a=0.2, b=-0.3)
+    zeros = []
+
+    def counting_realize(net, x):
+        if np.ndim(x) == 1 and not np.any(x):
+            zeros.append(net)
+        return realize(net, x)
+
+    monkeypatch.setattr(module, "realize", counting_realize)
+    call(prob, make_tree(seed=4, levels=3, m=3))
+    assert len(zeros) == 1 and zeros[0] is prob.mu_net

@@ -1,11 +1,14 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from picardnet.calculus import dim_compose, dim_merge, dim_sum, identity_dims
 from picardnet.estimator import (floor_to_grid, mlp_estimate,
                                  monte_carlo_payoff)
-from picardnet.nets import dims, param_count, realize
+from picardnet.nets import DimVector, dims, param_count, realize
 from picardnet.noise import NoiseTree, brownian_at
 from picardnet.problems import constant_problem, linear_problem
 from picardnet.synthesis import (probe_points, synthesize_mc_network,
@@ -82,6 +85,40 @@ def test_network_matches_scalar_property(d, n, m, frac, seed):
     for x in (np.linspace(-1.0, 1.0, d), np.full(d, 2.5)):
         direct = mlp_estimate(prob, tree, (1,), n, m, t, x)
         assert rel_err(realize(rep.network, x), direct) <= 1e-8
+
+
+def width_fold(prob, n, m):
+    """Width vector of the level-n network from the width laws alone: each
+    correction composes the drift with a merged pair of level-ell (or
+    ell - 1) vectors, grown to a common length by an identity network."""
+    d, mu = prob.d, dims(prob.mu_net)
+    if n == 0:
+        return DimVector((d, 1, d))
+    length = n * (len(mu) - 1) + 3
+    parts = [identity_dims(d, length)]
+    for ell in range(1, n):
+        for lv in (ell, ell - 1):
+            pair = dim_merge(width_fold(prob, lv, m), width_fold(prob, lv, m))
+            pad = length - len(pair) - len(mu) + 2
+            if pad > 1:
+                pair = dim_compose(identity_dims(2 * d, pad), pair)
+            parts += [dim_compose(mu, pair)] * m ** (n - ell)
+    return reduce(dim_sum, parts)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_dims_equal_width_fold(d):
+    prob = linear_problem(d, a=0.1, b=-0.4)
+    f = dims(prob.f_net)
+    for n in range(4):
+        for m in range(1, 4):
+            tree = make_tree(seed=n, d=d, levels=n, m=m)
+            want = width_fold(prob, n, m)
+            assert dims(synthesize_mlp_network(prob, tree, (1,), n, m,
+                                               0.5).network) == want
+            mc = synthesize_mc_network(prob, tree, 2, n, m).network
+            assert dims(mc) == dim_sum(dim_compose(f, want),
+                                       dim_compose(f, want))
 
 
 class TestMcSynthesis:
