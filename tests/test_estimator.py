@@ -253,6 +253,17 @@ def test_linear_drift_sanity():
     assert err <= 0.1 * abs(truth)
 
 
+def test_mlp_params_validation():
+    prob, tree = linear_problem(1), make_tree()
+    check = picardnet.estimator._check_args
+    with pytest.raises(ValueError, match="n must"):
+        check(prob, tree, -1, 2, 0.5)
+    with pytest.raises(ValueError, match="m must"):
+        check(prob, tree, 1, 0, 0.5)
+    assert check(prob, tree, 2, 2, 0.5) is None
+    assert np.isfinite(monte_carlo_payoff(prob, tree, 4, 2, 2, np.ones(1)))
+
+
 def entry_points(n=2, m=2, t=1.0, base=1, x=(1.0,)):
     """Every public entry point of the recursion on linear_problem(1) and a
     tree with m = 2, grid_levels = 2, T = 1; the defaults are valid."""
