@@ -64,11 +64,10 @@ def simulate_particles(problems: list[TestProblem], cfg: ParticleConfig,
     for _ in range(cfg.euler_steps):
         partners = rng.integers(0, M, size=(M, J))
         dW = rng.normal(0.0, math.sqrt(dt), size=(M, d))
-        for idx, prob in enumerate(problems):
-            st = states[idx]
+        for idx, (prob, st) in enumerate(zip(problems, states)):
             pairs = np.concatenate(
-                [np.repeat(st, J, axis=0), st[partners].reshape(M * J, d)],
-                axis=1)
+                [np.broadcast_to(st[:, None], (M, J, d)), st[partners]],
+                axis=2).reshape(M * J, 2 * d)
             drift = realize(prob.mu_net, pairs).reshape(M, J, d).mean(axis=1)
             states[idx] = st + dt * drift + dW
     return states
@@ -77,7 +76,10 @@ def simulate_particles(problems: list[TestProblem], cfg: ParticleConfig,
 def particle_mean_payoff(problem: TestProblem, cfg: ParticleConfig,
                          x: np.ndarray) -> float:
     """Reference terminal expectation (1/M) sum f(particle state)."""
-    states = simulate_particles([problem], cfg, x)[0]
+    return _mean_payoff(problem, simulate_particles([problem], cfg, x)[0])
+
+
+def _mean_payoff(problem, states) -> float:
     return float(np.mean(realize(problem.f_net, states)[:, 0]))
 
 
@@ -90,14 +92,17 @@ def check_moment_bound(problem: TestProblem, cfg: ParticleConfig,
                        x: np.ndarray, p: int) -> BoundCheckResult:
     """Empirical L^{pr} norm of the terminal state against the growth bound
     (||x|| + T ||mu(0,0)|| + sqrt(T (d + 2pr))) e^{cT}."""
+    return _moment(problem, simulate_particles([problem], cfg, x)[0], x, p)
+
+
+def _moment(problem, states, x, p) -> BoundCheckResult:
     d, T, c, r = problem.d, problem.T, problem.c, problem.r
-    states = simulate_particles([problem], cfg, x)[0]
     q = p * r
     empirical = np.mean(np.linalg.norm(states, axis=1) ** q) ** (1.0 / q)
     bound = ((np.linalg.norm(x) + T * _mu_at_zero_norm(problem)
               + math.sqrt(T * (d + 2 * p * r))) * math.exp(c * T))
     return _check(f"moment(p={p},{problem.name})", empirical, bound,
-                  cfg.particles)
+                  len(states))
 
 
 def check_perturbation_bounds(problem0: TestProblem, problem_eps: TestProblem,
@@ -105,15 +110,19 @@ def check_perturbation_bounds(problem0: TestProblem, problem_eps: TestProblem,
                               x: np.ndarray, p: int):
     """Coupled-state and payoff-difference checks for a drift perturbation
     of size eps with scale constant b; returns the pair of results."""
-    d, T, c, r = problem0.d, problem0.T, problem0.c, problem0.r
     st_eps, st0 = simulate_particles([problem_eps, problem0], cfg, x)
+    return _perturbation(problem0, problem_eps, eps, b, st0, st_eps, x, p)
+
+
+def _perturbation(problem0, problem_eps, eps, b, st0, st_eps, x, p):
+    d, T, c, r = problem0.d, problem0.T, problem0.c, problem0.r
     root = math.sqrt(T * (d + 2 * p * r))
     base0 = 1 + np.linalg.norm(x) + T * _mu_at_zero_norm(problem0) + root
     state_emp = np.mean(
         np.linalg.norm(st_eps - st0, axis=1) ** p) ** (1.0 / p)
     state_bound = T * b * eps * base0 ** r * math.exp((r + 1) * c * T)
     state_res = _check(f"state-perturbation(eps={eps})", state_emp,
-                       state_bound, cfg.particles)
+                       state_bound, len(st0))
     pay_eps = realize(problem_eps.f_net, st_eps)[:, 0]
     pay0 = realize(problem0.f_net, st0)[:, 0]
     pay_emp = np.mean(np.abs(pay_eps - pay0) ** p) ** (1.0 / p)
@@ -122,7 +131,7 @@ def check_perturbation_bounds(problem0: TestProblem, problem_eps: TestProblem,
             + root)
     pay_bound = b * eps * base ** r * math.exp((r + 2) * c * T)
     pay_res = _check(f"payoff-perturbation(eps={eps})", pay_emp, pay_bound,
-                     cfg.particles)
+                     len(st0))
     return state_res, pay_res
 
 

@@ -42,8 +42,7 @@ def floor_to_grid(t: float, m: int, n: int, T: float) -> float:
     The small slack absorbs times that are grid points up to rounding, so a
     nominal grid time is never floored to the previous one.
     """
-    if t < 0 or t > T * (1 + 1e-12):
-        raise ValueError(f"time {t} outside [0, {T}]")
+    _check_scalars(n, m, t, T)
     G = m ** n
     return int(_grid_steps(t, G, T)) * T / G
 
@@ -53,18 +52,23 @@ def _grid_steps(t, G: int, T: float):
     return np.minimum(np.floor(t * G / T + 1e-9).astype(np.int64), G)
 
 
-def _check_args(problem: TestProblem, tree: NoiseTree, n, m, t, x=None,
-                bases=()):
-    """Raise a ValueError naming the first argument outside the recursion's
-    contract (every queried time on the tree's grid); return x as float64."""
-    for name, v, low in (("n", n, 0), ("m", m, 1)):
+def _check_scalars(n, m, t, T, K=1):
+    """Raise a ValueError naming the first of n, m, K and t out of range."""
+    for name, v, low in (("n", n, 0), ("m", m, 1), ("K", K, 1)):
         if not isinstance(v, (int, np.integer)) or v < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    if not 0 <= t <= T * (1 + 1e-12):
+        raise ValueError(f"time t = {t!r} outside [0, {T}]")
+
+
+def _check_args(problem: TestProblem, tree: NoiseTree, n, m, t, x=None,
+                bases=(), K=1):
+    """Raise a ValueError naming the first argument outside the recursion's
+    contract (every queried time on the tree's grid); return x as float64."""
+    _check_scalars(n, m, t, tree.T, K)
     if n > tree.grid_levels or tree.grid_size % m ** n:
         raise ValueError(f"level n = {n} with m = {m} is off the grid of "
                          f"{tree.m}**{tree.grid_levels} steps")
-    if not 0 <= t <= tree.T * (1 + 1e-12):
-        raise ValueError(f"time t = {t!r} outside [0, {tree.T}]")
     if tree.d != problem.d:
         raise ValueError(f"tree.d = {tree.d} != problem.d = {problem.d}")
     for b in bases:
@@ -180,8 +184,22 @@ def mlp_estimate_batch(problem: TestProblem, tree: NoiseTree, bases,
 def monte_carlo_payoff(problem: TestProblem, tree: NoiseTree, K: int,
                        n: int, m: int, x: np.ndarray) -> float:
     """Average payoff over K level-n terminal-state samples, theta = (i,)."""
-    if K < 1:
-        raise ValueError("need K >= 1")
-    states = mlp_estimate_batch(problem, tree, range(1, K + 1),
-                                n, m, tree.T, x)
-    return float(np.mean(realize(problem.f_net, states)[:, 0]))
+    return _mc_payoffs(problem, [tree], K, n, m, x)[0]
+
+
+def _mc_payoffs(problem: TestProblem, trees: list, K: int, n: int, m: int,
+                x: np.ndarray) -> list:
+    """``monte_carlo_payoff`` for each tree, run as one batch on stacked keys;
+    the trees may differ only in master_seed, which enters only the keys."""
+    if len({(o.T, o.d, o.grid_levels, o.m) for o in trees}) != 1:
+        raise ValueError("need one or more trees that share T, d, "
+                         "grid_levels and m")
+    tree = trees[0]
+    x = _check_args(problem, tree, n, m, tree.T, x, K=K)
+    bases = np.arange(1, K + 1, dtype=np.uint64)
+    keys = np.concatenate([base_keys(o.master_seed, bases) for o in trees])
+    mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
+    states = _mlp_batch(problem, tree, keys, n, m,
+                        np.full(len(keys), float(tree.T)), x, mu0)
+    payoffs = realize(problem.f_net, states)[:, 0].reshape(len(trees), K)
+    return [float(np.mean(row)) for row in payoffs]

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import minimize_scalar
-
 
 def select_epsilon(d: int, epsilon: float, c: float, r: int,
                    T: float) -> float:
@@ -56,6 +54,7 @@ def log_C_delta(delta: float, c: float, T: float, cap: int = 10 ** 4) -> float:
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    from scipy.optimize import minimize_scalar  # slow to import, needed here
 
     def g(n):
         return _log_C_delta_term(n, delta, c, T)

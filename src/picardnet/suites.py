@@ -15,11 +15,14 @@ import os
 
 import numpy as np
 
-from .bounds import (ParticleConfig, brownian_moment_check, check_moment_bound,
-                     check_perturbation_bounds, mlp_error_bound,
-                     particle_mean_payoff)
+from . import bounds
+# check_moment_bound, check_perturbation_bounds and particle_mean_payoff stay
+# bound here for tools that wrap this module's names (perfbench's tracer).
+from .bounds import (BoundCheckResult, ParticleConfig, brownian_moment_check,
+                     check_moment_bound, check_perturbation_bounds,
+                     mlp_error_bound, particle_mean_payoff)
 from .config import ExperimentConfig
-from .estimator import mlp_estimate, monte_carlo_payoff
+from .estimator import _mc_payoffs, mlp_estimate, monte_carlo_payoff
 from .nets import realize
 from .noise import NoiseTree
 from .problems import constant_problem, linear_problem, perturbed_problem
@@ -77,35 +80,32 @@ def run_equivalence_suite(cfg: ExperimentConfig):
 
 
 def run_bounds_suite(cfg: ExperimentConfig):
-    rows = []
-    ok = True
-    checks = []
-    for (d, p, r) in ((1, 1, 1), (3, 2, 1), (5, 2, 2)):
-        checks.append(brownian_moment_check(d, p, r, t=1.0,
-                                            samples=10 ** 5, seed=cfg.seed))
+    checks = [brownian_moment_check(d, p, r, t=1.0, samples=10 ** 5,
+                                    seed=cfg.seed)
+              for (d, p, r) in ((1, 1, 1), (3, 2, 1), (5, 2, 2))]
     pc = ParticleConfig(particles=cfg.particles, euler_steps=cfg.euler_steps,
                         master_seed=cfg.seed, partner_count=cfg.partner_count)
     d0 = min(cfg.dims)
     base = linear_problem(d0, T=1.0)
     x = np.ones(d0)
-    checks.append(check_moment_bound(base, pc, x, p=2))
     pert, b = perturbed_problem(base, eps=0.1)
-    checks.extend(check_perturbation_bounds(base, pert, 0.1, b, pc, x, p=2))
-    ref = particle_mean_payoff(base, pc, x)
-    samples = [monte_carlo_payoff(
-        base, NoiseTree(master_seed=cfg.seed + 1000 + i, T=base.T,
-                        d=d0, grid_levels=2, m=2), 1, 2, 2, x)
-        for i in range(20)]
+    # One coupled run serves all three particle checks: the base states do
+    # not depend on the problems they are coupled with.
+    st_eps, st0 = bounds.simulate_particles([pert, base], pc, x)
+    checks.append(bounds._moment(base, st0, x, p=2))
+    checks.extend(bounds._perturbation(base, pert, 0.1, b, st0, st_eps, x, p=2))
+    ref = bounds._mean_payoff(base, st0)
+    trees = [NoiseTree(master_seed=cfg.seed + 1000 + i, T=base.T, d=d0,
+                       grid_levels=2, m=2) for i in range(20)]
+    samples = _mc_payoffs(base, trees, 1, 2, 2, x)
     rms = float(np.sqrt(np.mean((np.array(samples) - ref) ** 2)))
     bound = mlp_error_bound(base, 2, 2, x)
-    from .bounds import BoundCheckResult
     checks.append(BoundCheckResult("mlp-error-domination", rms, bound,
                                    rms <= bound, 20))
-    for chk in checks:
-        ok = ok and chk.satisfied
-        rows.append([chk.name, f"{chk.empirical:.6e}", f"{chk.bound:.6e}",
-                     int(chk.satisfied), chk.samples])
-    return ["name", "empirical", "bound", "satisfied", "samples"], rows, ok
+    rows = [[chk.name, f"{chk.empirical:.6e}", f"{chk.bound:.6e}",
+             int(chk.satisfied), chk.samples] for chk in checks]
+    return (["name", "empirical", "bound", "satisfied", "samples"], rows,
+            all(chk.satisfied for chk in checks))
 
 
 def run_convergence_suite(cfg: ExperimentConfig):
@@ -117,12 +117,11 @@ def run_convergence_suite(cfg: ExperimentConfig):
         truth = prob.closed_form(x, prob.T)
         rms = {}
         for n in (1, 2, 3):
-            errs = []
-            for s in range(cfg.convergence_seeds):
-                tree = NoiseTree(master_seed=cfg.seed + 31 * s, T=prob.T,
-                                 d=d, grid_levels=n, m=n)
-                est = monte_carlo_payoff(prob, tree, cfg.mc_samples, n, n, x)
-                errs.append(est - truth)
+            trees = [NoiseTree(master_seed=cfg.seed + 31 * s, T=prob.T, d=d,
+                               grid_levels=n, m=n)
+                     for s in range(cfg.convergence_seeds)]
+            errs = [est - truth for est in
+                    _mc_payoffs(prob, trees, cfg.mc_samples, n, n, x)]
             rms[n] = float(np.sqrt(np.mean(np.square(errs))))
             rows.append([d, n, cfg.mc_samples, f"{rms[n]:.6e}",
                          f"{abs(rms[n] / truth):.6e}"])

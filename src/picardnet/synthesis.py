@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .calculus import (affine_wrap, compose, extend_depth, identity_network,
                        merge, scaled_sum, zero_network)
@@ -104,9 +103,7 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
                           K: int, n: int, m: int) -> SynthesisReport:
     """Network equal (in x) to the K-sample Monte Carlo payoff average,
     with depth depth_f + n(depth_mu - 1) + 2 and width bound K c (5m)^n."""
-    if K < 1:
-        raise ValueError("need K >= 1")
-    _check_args(problem, tree, n, m, tree.T)
+    _check_args(problem, tree, n, m, tree.T, K=K)
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
     parts = [compose(problem.f_net,
                      _mlp_net(problem, tree, (i,), n, m, tree.T, mu0))
@@ -119,6 +116,8 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
 
 def probe_points(d: int, count: int = 1024) -> np.ndarray:
     """Deterministic low-discrepancy point set in [0, 1]^d."""
+    from scipy.stats import qmc  # slow to import, and needed only here
+
     sampler = qmc.Sobol(d=d, scramble=False)
     exponent = max(1, math.ceil(math.log2(count)))
     return sampler.random_base2(exponent)[:count]

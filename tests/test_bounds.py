@@ -7,9 +7,11 @@ from picardnet.bounds import (BoundCheckResult, ParticleConfig,
                               brownian_moment_check, check_moment_bound,
                               check_perturbation_bounds, mlp_error_bound,
                               particle_mean_payoff, simulate_particles)
+from picardnet.config import ExperimentConfig
 from picardnet.estimator import monte_carlo_payoff
 from picardnet.noise import NoiseTree
 from picardnet.problems import linear_problem, perturbed_problem
+from picardnet.suites import run_bounds_suite
 
 FAST = ParticleConfig(particles=2000, euler_steps=50, master_seed=7,
                       partner_count=32)
@@ -140,3 +142,40 @@ def test_coupled_simulation_sharing():
                                              master_seed=1, partner_count=8),
                               np.zeros(1))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coupled_base_states_equal_solo_run(d):
+    base = linear_problem(d)
+    pert, _ = perturbed_problem(base, eps=0.1)
+    cfg = ParticleConfig(particles=300, euler_steps=10, master_seed=5,
+                         partner_count=8)
+    x = np.ones(d)
+    st_eps, st0 = simulate_particles([pert, base], cfg, x)
+    assert st0.tobytes() == simulate_particles([base], cfg, x)[0].tobytes()
+    assert not np.array_equal(st_eps, st0)
+
+
+def test_bounds_suite_rows_equal_public_checks():
+    cfg = ExperimentConfig(dims=[2, 1], particles=300, euler_steps=10,
+                           partner_count=8, seed=3)
+    pc = ParticleConfig(particles=300, euler_steps=10, master_seed=3,
+                        partner_count=8)
+    base, x = linear_problem(1), np.ones(1)
+    pert, b = perturbed_problem(base, eps=0.1)
+    ref = particle_mean_payoff(base, pc, x)
+    samples = [monte_carlo_payoff(base, NoiseTree(master_seed=1003 + i, T=1.0,
+                                                  d=1, grid_levels=2, m=2),
+                                  1, 2, 2, x) for i in range(20)]
+    rms = float(np.sqrt(np.mean((np.array(samples) - ref) ** 2)))
+    bound = mlp_error_bound(base, 2, 2, x)
+    want = [brownian_moment_check(d, p, r, t=1.0, samples=10 ** 5, seed=3)
+            for d, p, r in ((1, 1, 1), (3, 2, 1), (5, 2, 2))]
+    want += [check_moment_bound(base, pc, x, p=2),
+             *check_perturbation_bounds(base, pert, 0.1, b, pc, x, p=2),
+             BoundCheckResult("mlp-error-domination", rms, bound,
+                              rms <= bound, 20)]
+    _, rows, ok = run_bounds_suite(cfg)
+    assert rows == [[c.name, f"{c.empirical:.6e}", f"{c.bound:.6e}",
+                     int(c.satisfied), c.samples] for c in want]
+    assert ok == all(c.satisfied for c in want)

@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import picardnet
 from picardnet.cli import main
 from picardnet.config import ExperimentConfig, parse_config
 
@@ -131,3 +135,39 @@ class TestCli:
         with open(os.path.join(out2, "scaling.csv")) as fh:
             second = fh.read()
         assert first != second
+
+
+# The bytes of the straightforward suites: one particle run per bounds check
+# and one estimator call per noise tree.  equivalence.csv is left out: its
+# max_rel_err digits depend on the BLAS kernel.
+GOLDEN = """
+dims = 1, 2
+particles = 200
+euler_steps = 10
+partner_count = 8
+mc_samples = 20
+convergence_seeds = 2
+seed = 11
+"""
+
+
+@pytest.mark.parametrize("suite", ["bounds", "convergence"])
+def test_suite_reproduces_golden_bytes(tmp_path, suite):
+    path = tmp_path / "run.cfg"
+    path.write_text(GOLDEN)
+    main(["--config", str(path), "--suite", suite, "--out", str(tmp_path)])
+    golden = Path(__file__).parent / "data" / f"{suite}.csv"
+    assert (tmp_path / f"{suite}.csv").read_bytes() == golden.read_bytes()
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(picardnet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, picardnet, picardnet.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

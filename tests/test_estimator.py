@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,15 @@ class TestFloorToGrid:
             floor_to_grid(-0.1, 2, 2, 1.0)
         with pytest.raises(ValueError):
             floor_to_grid(1.5, 2, 2, 1.0)
+
+    @pytest.mark.parametrize("args, match", [
+        ((float("nan"), 2, 2, 1.0), "time t"),
+        ((0.5, 0, 2, 1.0), "m must"),
+        ((0.5, 2, -1, 1.0), "n must"),
+    ], ids=["t-nan", "m0", "n-1"])
+    def test_rejects_bad_arguments(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            floor_to_grid(*args)
 
 
 def transcription_oracle(problem, tree, theta, n, m, t, x):
@@ -264,17 +275,17 @@ def test_mlp_params_validation():
     assert np.isfinite(monte_carlo_payoff(prob, tree, 4, 2, 2, np.ones(1)))
 
 
-def entry_points(n=2, m=2, t=1.0, base=1, x=(1.0,)):
+def entry_points(n=2, m=2, t=1.0, base=1, x=(1.0,), K=1):
     """Every public entry point of the recursion on linear_problem(1) and a
     tree with m = 2, grid_levels = 2, T = 1; the defaults are valid."""
     prob, tree = linear_problem(1), make_tree()
     return {
         "scalar": lambda: mlp_estimate(prob, tree, (base,), n, m, t, x),
         "batch": lambda: mlp_estimate_batch(prob, tree, [base], n, m, t, x),
-        "payoff": lambda: monte_carlo_payoff(prob, tree, 1, n, m, x),
+        "payoff": lambda: monte_carlo_payoff(prob, tree, K, n, m, x),
         "network": lambda: synthesize_mlp_network(prob, tree, (base,), n, m,
                                                   t),
-        "mc_network": lambda: synthesize_mc_network(prob, tree, 1, n, m),
+        "mc_network": lambda: synthesize_mc_network(prob, tree, K, n, m),
     }
 
 
@@ -295,8 +306,9 @@ class TestEntryCheck:
         (dict(t=float("nan")), "time t", TAKE_T),
         (dict(base=-1), "base", TAKE_T),
         (dict(x=(1.0, 2.0, 3.0)), "x has shape", ("scalar", "batch", "payoff")),
+        (dict(K=2.5), "K must", ("payoff", "mc_network")),
     ], ids=["m0", "m3-on-m2-tree", "n-1", "t-above-T", "t-nan", "base-1",
-            "x-length-3"])
+            "x-length-3", "K-2.5"])
     def test_rejects(self, bad, match, takers):
         calls = entry_points(**bad)
         for name in takers or calls:
@@ -308,6 +320,33 @@ class TestEntryCheck:
         with pytest.raises(ValueError, match="tree.d"):
             mlp_estimate_batch(prob, make_tree(d=1), [1], 2, 2, 1.0,
                                np.ones(2))
+
+
+@pytest.mark.parametrize("S, K", [(1, 6), (3, 6), (10, 6), (10, 250)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_stacked_payoffs_equal_per_tree_calls(S, K, d, n):
+    # K = 250 puts 2500 stacked rows past the 2048-row group cap.
+    prob = linear_problem(d, a=0.2, b=-0.4)
+    x = np.linspace(0.5, -0.5, d)
+    m = max(n, 1)
+    trees = [make_tree(seed=100 + 7 * s, d=d, levels=n, m=m)
+             for s in range(S)]
+    assert picardnet.estimator._mc_payoffs(prob, trees, K, n, m, x) == [
+        monte_carlo_payoff(prob, tree, K, n, m, x) for tree in trees]
+
+
+@pytest.mark.parametrize("other", [dict(T=2.0), dict(d=2),
+                                   dict(grid_levels=3), dict(m=4)],
+                         ids=["T", "d", "grid_levels", "m"])
+def test_stacked_payoffs_reject_mismatched_trees(other):
+    prob, tree = linear_problem(1), make_tree()
+    stack = picardnet.estimator._mc_payoffs
+    with pytest.raises(ValueError, match="one or more"):
+        stack(prob, [], 2, 2, 2, np.ones(1))
+    with pytest.raises(ValueError, match="share T, d"):
+        stack(prob, [tree, replace(tree, master_seed=1, **other)], 2, 2, 2,
+              np.ones(1))
 
 
 @settings(max_examples=50, deadline=None)
