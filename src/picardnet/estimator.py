@@ -24,16 +24,14 @@ from __future__ import annotations
 import numpy as np
 
 from .nets import realize
-from .noise import (NoiseTree, ThetaIndex, base_keys, brownian_at,
+from .noise import (_BLOCK, NoiseTree, ThetaIndex, base_keys, brownian_at,
                     brownian_path_batch, fold_keys, uniform_time,
                     uniform_time_batch)
 from .problems import TestProblem
 
-# Caps that keep the working set of the batch recursion in cache: rows of
-# one group of sub-estimates (its call stacks twice as many), and numbers
-# in the widest activation of one drift evaluation.
+# Rows of one group of sub-estimates (its call stacks twice as many); the
+# drift runs in row blocks of the noise kernel's working-set cap _BLOCK.
 _GROUP_ROWS = 2048
-_DRIFT_VALUES = 1 << 18
 
 
 def floor_to_grid(t: float, m: int, n: int, T: float) -> float:
@@ -43,6 +41,8 @@ def floor_to_grid(t: float, m: int, n: int, T: float) -> float:
     nominal grid time is never floored to the previous one.
     """
     _check_scalars(n, m, t, T)
+    if m > 1 and (n > 53 or m ** n > 2 ** 53):
+        raise ValueError(f"grid of m**n = {m}**{n} steps exceeds 2**53")
     G = m ** n
     return int(_grid_steps(t, G, T)) * T / G
 
@@ -152,11 +152,11 @@ def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
 
 def _drift(mu_net, inputs: np.ndarray) -> np.ndarray:
     """``realize(mu_net, inputs)`` in equal row blocks whose widest
-    activation holds at most _DRIFT_VALUES numbers."""
+    activation holds at most _BLOCK numbers."""
     widest = max(W.shape[0] for W, _ in mu_net.layers)
     return np.concatenate([
         realize(mu_net, inputs[b])
-        for b in _blocks(len(inputs), max(1, _DRIFT_VALUES // widest))])
+        for b in _blocks(len(inputs), max(1, _BLOCK // widest))])
 
 
 def _blocks(n: int, size: int) -> list:

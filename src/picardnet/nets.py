@@ -113,13 +113,12 @@ def realize(net: NeuralNetwork, x: np.ndarray) -> np.ndarray:
     a fresh array, so ``x`` is never written.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0 and net.input_width == 1:
+        x = x.reshape(1)
+    if not 1 <= x.ndim <= 2 or x.shape[-1] != net.input_width:
+        raise ValueError(f"input of shape {x.shape} is not (k_0,) or "
+                         f"(batch, k_0) with k_0={net.input_width}")
     batched = x.ndim == 2
-    if (x.shape[-1] if x.ndim else 0) != net.input_width:
-        if x.ndim == 0 and net.input_width == 1:
-            x = x.reshape(1)
-        else:
-            raise ValueError(
-                f"input width {x.shape} incompatible with k_0={net.input_width}")
     h = x
     last = len(net.layers) - 1
     for n, (W, B) in enumerate(net.layers):

@@ -38,8 +38,9 @@ _PHI_U = np.uint64(_PHI)
 _MUL1_U = np.uint64(_MUL1)
 _MUL2_U = np.uint64(_MUL2)
 
-# Brownian queries run in blocks of at most this many normals, so that the
-# arrays of one block stay in cache.
+# Working-set cap, in float64 values, of a Brownian query block and of a drift
+# block's widest activation: malloc reuses 128 KiB arrays without fresh pages,
+# and a block's input, output and 256 x 256 weight fit in a 2 MiB L2 cache.
 _BLOCK = 1 << 14
 
 

@@ -9,7 +9,7 @@ import picardnet.estimator
 import picardnet.synthesis
 from picardnet.estimator import (floor_to_grid, mlp_estimate,
                                  mlp_estimate_batch, monte_carlo_payoff)
-from picardnet.nets import realize
+from picardnet.nets import NeuralNetwork, realize
 from picardnet.noise import NoiseTree, brownian_at, uniform_time
 from picardnet.problems import constant_problem, linear_problem
 from picardnet.synthesis import synthesize_mc_network, synthesize_mlp_network
@@ -40,7 +40,9 @@ class TestFloorToGrid:
         ((float("nan"), 2, 2, 1.0), "time t"),
         ((0.5, 0, 2, 1.0), "m must"),
         ((0.5, 2, -1, 1.0), "n must"),
-    ], ids=["t-nan", "m0", "n-1"])
+        ((0.5, 2, 54, 1.0), r"2\*\*54 steps exceeds 2\*\*53"),
+        ((0.5, 3, 10 ** 9, 1.0), r"3\*\*1000000000 steps"),
+    ], ids=["t-nan", "m0", "n-1", "grid-over-2**53", "n-1e9"])
     def test_rejects_bad_arguments(self, args, match):
         with pytest.raises(ValueError, match=match):
             floor_to_grid(*args)
@@ -195,6 +197,51 @@ def test_batch_drift_rows_skip_level_zero(monkeypatch, n, m, per_sample):
     assert sum(rows) == K * per_sample
     # mu(0, 0), evaluated once as a single vector
     assert len(vectors) == 1 and not np.any(vectors[0])
+
+
+def wide_problem(d=2, width=256, seed=0):
+    """A drift 2d -> width -> width -> d with random weights."""
+    rng = np.random.default_rng(seed)
+    shapes = ((width, 2 * d), (width, width), (d, width))
+    layers = tuple((rng.standard_normal(s) / np.sqrt(s[1]),
+                    0.1 * rng.standard_normal(s[0])) for s in shapes)
+    return replace(linear_problem(d), mu_net=NeuralNetwork(layers),
+                   closed_form=None, name="wide-drift")
+
+
+@pytest.mark.parametrize("prob, n, m, K", [
+    (wide_problem(), 2, 2, 1000), (wide_problem(), 3, 3, 100),
+    (linear_problem(2, a=0.2, b=-0.3), 4, 4, 100),
+    (linear_problem(3, a=0.2, b=-0.3), 3, 3, 1000),
+], ids=["wide-n2", "wide-n3", "linear-d2-n4", "linear-d3-split"])
+def test_drift_blocks_hold_at_most_2_14_values(monkeypatch, prob, n, m, K):
+    """Each drift evaluation runs in the fewest row blocks whose widest
+    activation holds at most 2**14 values, equal up to one row."""
+    evaluations = []
+    drift = picardnet.estimator._drift
+
+    def recording_drift(net, inputs):
+        evaluations.append((len(inputs), []))
+        return drift(net, inputs)
+
+    def counting_realize(net, x):
+        if net is prob.mu_net and np.ndim(x) == 2:
+            evaluations[-1][1].append(len(x))
+        return realize(net, x)
+
+    monkeypatch.setattr(picardnet.estimator, "_drift", recording_drift)
+    monkeypatch.setattr(picardnet.estimator, "realize", counting_realize)
+    tree = make_tree(seed=5, d=prob.d, levels=n, m=m)
+    mlp_estimate_batch(prob, tree, range(1, K + 1), n, m, 1.0,
+                       np.ones(prob.d))
+    widest = max(W.shape[0] for W, _ in prob.mu_net.layers)
+    per_block = 2 ** 14 // widest
+    for rows, blocks in evaluations:
+        assert sum(blocks) == rows
+        assert max(blocks) * widest <= 2 ** 14
+        assert max(blocks) - min(blocks) <= 1
+        assert len(blocks) == -(-rows // per_block)
+    assert sum(rows for rows, _ in evaluations) == K * drift_rows(n, m)
 
 
 @settings(max_examples=25, deadline=None)

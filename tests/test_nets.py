@@ -78,6 +78,8 @@ class TestRealize:
         net = identity_network(2, 1)
         with pytest.raises(ValueError):
             realize(net, np.zeros(3))
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 2\)"):
+            realize(net, np.ones((2, 2, 2)))
 
 
 class TestRealizeInPlace:
