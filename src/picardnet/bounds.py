@@ -5,7 +5,8 @@ dynamics: M particles follow Euler-Maruyama steps in which each particle's
 drift is the average of mu(own state, partner state) over a random partner
 subsample.  Coupled runs share Brownian increments and partner draws, so a
 drift perturbation is measured under common random numbers and vanishes
-exactly at perturbation size zero.
+exactly at perturbation size zero.  The particle checks take the terminal
+states of one such run, so a single simulation serves all of them.
 """
 
 from __future__ import annotations
@@ -36,15 +37,11 @@ class BoundCheckResult:
     name: str
     empirical: float
     bound: float
-    satisfied: bool
     samples: int
 
-
-def _check(name, empirical, bound, samples) -> BoundCheckResult:
-    return BoundCheckResult(name=name, empirical=float(empirical),
-                            bound=float(bound),
-                            satisfied=bool(empirical <= bound),
-                            samples=samples)
+    @property
+    def satisfied(self) -> bool:
+        return self.empirical <= self.bound
 
 
 def simulate_particles(problems: list[TestProblem], cfg: ParticleConfig,
@@ -73,13 +70,9 @@ def simulate_particles(problems: list[TestProblem], cfg: ParticleConfig,
     return states
 
 
-def particle_mean_payoff(problem: TestProblem, cfg: ParticleConfig,
-                         x: np.ndarray) -> float:
-    """Reference terminal expectation (1/M) sum f(particle state)."""
-    return _mean_payoff(problem, simulate_particles([problem], cfg, x)[0])
-
-
-def _mean_payoff(problem, states) -> float:
+def particle_mean_payoff(problem: TestProblem, states: np.ndarray) -> float:
+    """Reference terminal expectation (1/M) sum f(particle state) over the
+    terminal states (M, d) from `simulate_particles`."""
     return float(np.mean(realize(problem.f_net, states)[:, 0]))
 
 
@@ -88,41 +81,31 @@ def _mu_at_zero_norm(problem: TestProblem) -> float:
         realize(problem.mu_net, np.zeros(2 * problem.d))))
 
 
-def check_moment_bound(problem: TestProblem, cfg: ParticleConfig,
+def check_moment_bound(problem: TestProblem, states: np.ndarray,
                        x: np.ndarray, p: int) -> BoundCheckResult:
-    """Empirical L^{pr} norm of the terminal state against the growth bound
-    (||x|| + T ||mu(0,0)|| + sqrt(T (d + 2pr))) e^{cT}."""
-    return _moment(problem, simulate_particles([problem], cfg, x)[0], x, p)
-
-
-def _moment(problem, states, x, p) -> BoundCheckResult:
+    """Empirical L^{pr} norm of the terminal states started at x against the
+    growth bound (||x|| + T ||mu(0,0)|| + sqrt(T (d + 2pr))) e^{cT}."""
     d, T, c, r = problem.d, problem.T, problem.c, problem.r
     q = p * r
     empirical = np.mean(np.linalg.norm(states, axis=1) ** q) ** (1.0 / q)
     bound = ((np.linalg.norm(x) + T * _mu_at_zero_norm(problem)
               + math.sqrt(T * (d + 2 * p * r))) * math.exp(c * T))
-    return _check(f"moment(p={p},{problem.name})", empirical, bound,
-                  len(states))
+    return BoundCheckResult(f"moment(p={p},{problem.name})", float(empirical),
+                            float(bound), len(states))
 
 
 def check_perturbation_bounds(problem0: TestProblem, problem_eps: TestProblem,
-                              eps: float, b: float, cfg: ParticleConfig,
-                              x: np.ndarray, p: int):
+                              eps: float, b: float, st0: np.ndarray,
+                              st_eps: np.ndarray, x: np.ndarray, p: int):
     """Coupled-state and payoff-difference checks for a drift perturbation
-    of size eps with scale constant b; returns the pair of results."""
-    st_eps, st0 = simulate_particles([problem_eps, problem0], cfg, x)
-    return _perturbation(problem0, problem_eps, eps, b, st0, st_eps, x, p)
-
-
-def _perturbation(problem0, problem_eps, eps, b, st0, st_eps, x, p):
+    of size eps with scale constant b, on the coupled terminal states st0
+    and st_eps started at x; returns the pair of results."""
     d, T, c, r = problem0.d, problem0.T, problem0.c, problem0.r
     root = math.sqrt(T * (d + 2 * p * r))
     base0 = 1 + np.linalg.norm(x) + T * _mu_at_zero_norm(problem0) + root
     state_emp = np.mean(
         np.linalg.norm(st_eps - st0, axis=1) ** p) ** (1.0 / p)
     state_bound = T * b * eps * base0 ** r * math.exp((r + 1) * c * T)
-    state_res = _check(f"state-perturbation(eps={eps})", state_emp,
-                       state_bound, len(st0))
     pay_eps = realize(problem_eps.f_net, st_eps)[:, 0]
     pay0 = realize(problem0.f_net, st0)[:, 0]
     pay_emp = np.mean(np.abs(pay_eps - pay0) ** p) ** (1.0 / p)
@@ -130,9 +113,10 @@ def _perturbation(problem0, problem_eps, eps, b, st0, st_eps, x, p):
             + T * max(_mu_at_zero_norm(problem0), _mu_at_zero_norm(problem_eps))
             + root)
     pay_bound = b * eps * base ** r * math.exp((r + 2) * c * T)
-    pay_res = _check(f"payoff-perturbation(eps={eps})", pay_emp, pay_bound,
-                     len(st0))
-    return state_res, pay_res
+    return (BoundCheckResult(f"state-perturbation(eps={eps})",
+                             float(state_emp), float(state_bound), len(st0)),
+            BoundCheckResult(f"payoff-perturbation(eps={eps})",
+                             float(pay_emp), float(pay_bound), len(st0)))
 
 
 def brownian_moment_check(d: int, p: int, r: int, t: float = 1.0,
@@ -145,7 +129,8 @@ def brownian_moment_check(d: int, p: int, r: int, t: float = 1.0,
     empirical = math.sqrt(t) * np.mean(
         np.linalg.norm(z, axis=1) ** q) ** (1.0 / q)
     bound = math.sqrt(t * (d + 2 * p * r))
-    return _check(f"brownian(d={d},p={p},r={r})", empirical, bound, samples)
+    return BoundCheckResult(f"brownian(d={d},p={p},r={r})", float(empirical),
+                            bound, samples)
 
 
 def mlp_error_bound(problem: TestProblem, n: int, m: int,

@@ -50,6 +50,8 @@ class ExperimentConfig:
             if getattr(self, key) < low:
                 raise ValueError(
                     f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.level_cap > 3:  # a level-4 network holds ~7e12 parameters
+            raise ValueError(f"level_cap must be <= 3, got {self.level_cap}")
         return self
 
 

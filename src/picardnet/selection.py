@@ -26,14 +26,13 @@ def _log_level_error(n: float, d: int, c: float, r: int, T: float) -> float:
             + n / 2 + 3 * c * T * n - (n / 2) * math.log(n))
 
 
-def select_N(d: int, epsilon: float, c: float, r: int, T: float,
-             cap: int = 10 ** 4) -> int:
+def select_N(d: int, epsilon: float, c: float, r: int, T: float) -> int:
     """Minimal level n >= 2 whose error expression drops below epsilon/2."""
     target = math.log(epsilon / 2)
-    for n in range(2, cap + 1):
+    for n in range(2, 10 ** 4 + 1):
         if _log_level_error(n, d, c, r, T) <= target:
             return n
-    raise ValueError(f"no admissible level found up to cap {cap}")
+    raise ValueError("no admissible level found up to 10000")
 
 
 def _log_C_delta_term(n: float, delta: float, c: float, T: float) -> float:
@@ -44,40 +43,37 @@ def _log_C_delta_term(n: float, delta: float, c: float, T: float) -> float:
                    - ((n - 1) / 2) * math.log(n - 1)))
 
 
-def log_C_delta(delta: float, c: float, T: float, cap: int = 10 ** 4) -> float:
+def log_C_delta(delta: float, c: float, T: float) -> float:
     """log of the supremum over integer levels n >= 2 of the C_delta term.
 
-    The term rises for a very long stretch before the n^{-delta(n-1)/2}
-    factor wins, so the supremum is located by continuous maximization in
-    log space (bracketed by doubling), then checked against the neighboring
-    integers and a direct scan over the small levels.
+    Its log g is strictly concave on [2, inf), as g''(n) = -1/n^2 + 4/n
+    - (8 + delta) / (2 (n - 1)) < 0, so the supremum is at n = 2 or next to
+    the root of g'.  Doubling brackets the root and bisection narrows the
+    bracket to width 1, or to adjacent floats where they lie further apart.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    from scipy.optimize import minimize_scalar  # slow to import, needed here
+    q = 8 + delta
 
-    def g(n):
-        return _log_C_delta_term(n, delta, c, T)
+    def slope(n):
+        return (2 * math.log(5) + 1 / n + 4 * math.log(n) + 4
+                + q * (3 * c * T - math.log(n - 1) / 2))
 
-    hi = 4.0
-    while g(2 * hi) > g(hi):
-        hi *= 2
+    lo, hi = 2.0, 4.0
+    while slope(hi) > 0:
+        lo, hi = hi, 2 * hi
         if hi > 1e60:
             raise ValueError("C_delta term does not decay; check constants")
-    res = minimize_scalar(lambda v: -g(v), bounds=(2.0, 4 * hi),
-                          method="bounded",
-                          options={"xatol": 1e-6 * hi})
-    cands = {2.0}
-    peak = float(res.x)
-    cands.update(float(max(2, math.floor(peak) + k)) for k in (-1, 0, 1))
-    cands.update(float(n) for n in range(2, min(cap, 1000) + 1))
-    return max(g(n) for n in cands)
+    while hi - lo > 1 and lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    # The integer maximum lies in [floor(lo), ceil(hi)], at most 2 wide.
+    return max(_log_C_delta_term(n, delta, c, T)
+               for n in (2, math.floor(lo), math.floor(lo) + 1, math.ceil(hi)))
 
 
-def compute_C_delta(delta: float, c: float, T: float,
-                    cap: int = 10 ** 4) -> float:
+def compute_C_delta(delta: float, c: float, T: float) -> float:
     """The supremum itself; infinite whenever its log exceeds float range."""
-    log_val = log_C_delta(delta, c, T, cap)
+    log_val = log_C_delta(delta, c, T)
     try:
         return math.exp(log_val)
     except OverflowError:

@@ -13,7 +13,8 @@ import pytest
 
 from picardnet.bounds import (ParticleConfig, brownian_moment_check,
                               check_moment_bound, check_perturbation_bounds,
-                              mlp_error_bound, particle_mean_payoff)
+                              mlp_error_bound, particle_mean_payoff,
+                              simulate_particles)
 from picardnet.calculus import (affine_wrap, compose, dim_compose, dim_merge,
                                 dim_sum, extend_depth, identity_network,
                                 merge, scaled_sum)
@@ -236,14 +237,16 @@ def test_criterion_4_bound_suite(capsys):
                          partner_count=32)
     for d in (1, 5):
         prob = linear_problem(d)
-        results.append(check_moment_bound(prob, cfg, np.ones(d), p=2))
+        (states,) = simulate_particles([prob], cfg, np.ones(d))
+        results.append(check_moment_bound(prob, states, np.ones(d), p=2))
     base = linear_problem(1)
     for eps in (0.05, 0.1, 0.2):
         pert, b = perturbed_problem(base, eps=eps)
-        results.extend(check_perturbation_bounds(base, pert, eps, b, cfg,
-                                                 np.ones(1), p=2))
+        st_eps, st0 = simulate_particles([pert, base], cfg, np.ones(1))
+        results.extend(check_perturbation_bounds(base, pert, eps, b, st0,
+                                                 st_eps, np.ones(1), p=2))
     x = np.ones(1)
-    ref = particle_mean_payoff(base, cfg, x)
+    ref = particle_mean_payoff(base, simulate_particles([base], cfg, x)[0])
     samples = [monte_carlo_payoff(
         base, NoiseTree(master_seed=s, T=1.0, d=1, grid_levels=2, m=2),
         1, 2, 2, x) for s in range(100)]

@@ -21,26 +21,31 @@ class TestParticleMeanPayoff:
     def test_driftless(self):
         prob = linear_problem(1, a=0.0, b=0.0)
         x = np.array([0.4])
-        est = particle_mean_payoff(prob, FAST, x)
+        (states,) = simulate_particles([prob], FAST, x)
+        est = particle_mean_payoff(prob, states)
         assert abs(est - 0.4) <= 3.0 / math.sqrt(FAST.particles)
 
     def test_linear_closed_form(self):
         prob = linear_problem(1, a=0.0, b=-0.5)
         x = np.ones(1)
-        est = particle_mean_payoff(prob, FAST, x)
+        (states,) = simulate_particles([prob], FAST, x)
+        est = particle_mean_payoff(prob, states)
         assert abs(est - math.exp(-0.5)) <= 0.05
 
     def test_determinism(self):
         prob = linear_problem(2)
         x = np.ones(2)
-        assert particle_mean_payoff(prob, FAST, x) == particle_mean_payoff(
-            prob, FAST, x)
+        assert particle_mean_payoff(
+            prob, simulate_particles([prob], FAST, x)[0]) == (
+            particle_mean_payoff(prob, simulate_particles([prob], FAST, x)[0]))
 
 
 class TestMomentBound:
     def test_pure_brownian(self):
         prob = linear_problem(1, a=0.0, b=0.0)
-        res = check_moment_bound(prob, FAST, np.zeros(1), p=2)
+        x = np.zeros(1)
+        res = check_moment_bound(prob, simulate_particles([prob], FAST, x)[0],
+                                 x, p=2)
         assert res.satisfied
         # bound reduces to sqrt(T(d+2pr)) e^{cT} = sqrt(5) e
         assert res.bound == pytest.approx(math.sqrt(5.0) * math.e)
@@ -49,12 +54,16 @@ class TestMomentBound:
         prob = linear_problem(5)
         cfg = ParticleConfig(particles=1000, euler_steps=40, master_seed=3,
                              partner_count=32)
-        res = check_moment_bound(prob, cfg, np.ones(5), p=2)
+        x = np.ones(5)
+        res = check_moment_bound(prob, simulate_particles([prob], cfg, x)[0],
+                                 x, p=2)
         assert res.satisfied
 
     def test_bound_formula_by_hand(self):
         prob = linear_problem(1, a=0.0, b=-0.5)  # c = 1, r = 1, T = 1
-        res = check_moment_bound(prob, FAST, np.array([2.0]), p=1)
+        x = np.array([2.0])
+        res = check_moment_bound(prob, simulate_particles([prob], FAST, x)[0],
+                                 x, p=1)
         # mu(0,0) = 0, so bound = (2 + sqrt(1*(1+2))) e
         assert res.bound == pytest.approx((2.0 + math.sqrt(3.0)) * math.e)
 
@@ -63,8 +72,10 @@ class TestPerturbationBounds:
     def test_zero_perturbation_exactly_coupled(self):
         base = linear_problem(1)
         pert, b = perturbed_problem(base, eps=0.0)
+        x = np.ones(1)
+        st_eps, st0 = simulate_particles([pert, base], FAST, x)
         st_res, pay_res = check_perturbation_bounds(base, pert, 0.0, b,
-                                                    FAST, np.ones(1), p=2)
+                                                    st0, st_eps, x, p=2)
         assert st_res.empirical == 0.0
         assert pay_res.empirical == 0.0
         assert st_res.satisfied and pay_res.satisfied
@@ -72,18 +83,22 @@ class TestPerturbationBounds:
     def test_small_perturbation_satisfied(self):
         base = linear_problem(1)
         pert, b = perturbed_problem(base, eps=0.1)
+        x = np.ones(1)
+        st_eps, st0 = simulate_particles([pert, base], FAST, x)
         st_res, pay_res = check_perturbation_bounds(base, pert, 0.1, b,
-                                                    FAST, np.ones(1), p=2)
+                                                    st0, st_eps, x, p=2)
         assert st_res.satisfied and pay_res.satisfied
         assert st_res.empirical > 0
 
     def test_linear_scaling_in_eps(self):
         base = linear_problem(1)
+        x = np.ones(1)
         emps = []
         for eps in (0.05, 0.1, 0.2):
             pert, b = perturbed_problem(base, eps=eps)
-            st_res, _ = check_perturbation_bounds(base, pert, eps, b, FAST,
-                                                  np.ones(1), p=2)
+            st_eps, st0 = simulate_particles([pert, base], FAST, x)
+            st_res, _ = check_perturbation_bounds(base, pert, eps, b,
+                                                  st0, st_eps, x, p=2)
             emps.append(st_res.empirical)
         # doubling eps roughly doubles the coupled difference
         assert emps[1] / emps[0] == pytest.approx(2.0, rel=0.2)
@@ -120,7 +135,8 @@ class TestMlpErrorBound:
     def test_dominates_empirical_error(self):
         prob = linear_problem(1)
         x = np.ones(1)
-        ref = particle_mean_payoff(prob, FAST, x)
+        (states,) = simulate_particles([prob], FAST, x)
+        ref = particle_mean_payoff(prob, states)
         samples = []
         for seed in range(50):
             tree = NoiseTree(master_seed=seed, T=1.0, d=1, grid_levels=2, m=2)
@@ -130,7 +146,7 @@ class TestMlpErrorBound:
 
 
 def test_bound_check_result_consistency():
-    res = BoundCheckResult("x", 1.0, 2.0, True, 10)
+    res = BoundCheckResult("x", 1.0, 2.0, 10)
     assert res.satisfied == (res.empirical <= res.bound)
 
 
@@ -163,7 +179,9 @@ def test_bounds_suite_rows_equal_public_checks():
                         partner_count=8)
     base, x = linear_problem(1), np.ones(1)
     pert, b = perturbed_problem(base, eps=0.1)
-    ref = particle_mean_payoff(base, pc, x)
+    solo = simulate_particles([base], pc, x)[0]
+    st_eps, st0 = simulate_particles([pert, base], pc, x)
+    ref = particle_mean_payoff(base, solo)
     samples = [monte_carlo_payoff(base, NoiseTree(master_seed=1003 + i, T=1.0,
                                                   d=1, grid_levels=2, m=2),
                                   1, 2, 2, x) for i in range(20)]
@@ -171,10 +189,10 @@ def test_bounds_suite_rows_equal_public_checks():
     bound = mlp_error_bound(base, 2, 2, x)
     want = [brownian_moment_check(d, p, r, t=1.0, samples=10 ** 5, seed=3)
             for d, p, r in ((1, 1, 1), (3, 2, 1), (5, 2, 2))]
-    want += [check_moment_bound(base, pc, x, p=2),
-             *check_perturbation_bounds(base, pert, 0.1, b, pc, x, p=2),
-             BoundCheckResult("mlp-error-domination", rms, bound,
-                              rms <= bound, 20)]
+    want += [check_moment_bound(base, solo, x, p=2),
+             *check_perturbation_bounds(base, pert, 0.1, b, st0, st_eps, x,
+                                        p=2),
+             BoundCheckResult("mlp-error-domination", rms, bound, 20)]
     _, rows, ok = run_bounds_suite(cfg)
     assert rows == [[c.name, f"{c.empirical:.6e}", f"{c.bound:.6e}",
                      int(c.satisfied), c.samples] for c in want]

@@ -73,7 +73,7 @@ class TestConfigParsing:
     # theorem_pipeline), so validation must reject it up front.
     @pytest.mark.parametrize("key, value", [
         ("partner_count", 0), ("seed_budget", 0), ("horizon", -1.0),
-        ("horizon", float("nan"))])
+        ("horizon", float("nan")), ("level_cap", 4)])
     def test_run_breaking_value_rejected(self, key, value, tmp_path, capsys):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**{key: value}).validate()
@@ -137,9 +137,11 @@ class TestCli:
         assert first != second
 
 
-# The bytes of the straightforward suites: one particle run per bounds check
-# and one estimator call per noise tree.  equivalence.csv is left out: its
-# max_rel_err digits depend on the BLAS kernel.
+# The bytes of the bounds, convergence and scaling suites, written by the
+# straightforward code they replaced: one particle run per bounds check, one
+# estimator call per noise tree, and a bounded minimization for C_delta.
+# equivalence.csv is left out: its max_rel_err digits depend on the BLAS
+# kernel.
 GOLDEN = """
 dims = 1, 2
 particles = 200
@@ -151,7 +153,7 @@ seed = 11
 """
 
 
-@pytest.mark.parametrize("suite", ["bounds", "convergence"])
+@pytest.mark.parametrize("suite", ["bounds", "convergence", "scaling"])
 def test_suite_reproduces_golden_bytes(tmp_path, suite):
     path = tmp_path / "run.cfg"
     path.write_text(GOLDEN)
@@ -161,11 +163,13 @@ def test_suite_reproduces_golden_bytes(tmp_path, suite):
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    # Computing the parameter bound must not load scipy.optimize either.
     src = os.path.dirname(os.path.dirname(picardnet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, picardnet, picardnet.cli; "
+            "picardnet.log_param_bound(1, 0.5, 0.5, 1.0, 1, 0.1); "
             "print([m for m in ('scipy.stats', 'scipy.optimize') "
             "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

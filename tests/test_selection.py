@@ -63,10 +63,16 @@ class TestCDelta:
         # the plain value overflows doubles for these constants
         assert compute_C_delta(0.5, 1.0, 0.1) == math.inf
 
-    def test_cap_independence(self):
-        a = log_C_delta(0.5, 1.0, 0.1, cap=10 ** 4)
-        b = log_C_delta(0.5, 1.0, 0.1, cap=2 * 10 ** 4)
-        assert a == b
+    def test_matches_integer_scan_near_peak(self):
+        # For these constants the term peaks near n = 9,833,256.
+        scan = max(_log_C_delta_term(n, 0.9, 1.0, 0.001)
+                   for n in range(9_832_256, 9_834_257))
+        assert log_C_delta(0.9, 1.0, 0.001) == pytest.approx(scan, rel=1e-13)
+
+    def test_root_past_1e60_rejected(self):
+        # g' vanishes only near n = e^1924 here; the bracket stops at 1e60.
+        with pytest.raises(ValueError, match="does not decay"):
+            log_C_delta(0.01, 1.0, 0.1)
 
     def test_small_horizon_modest_constants(self):
         # with a tiny horizon the supremum is attained early and is finite
