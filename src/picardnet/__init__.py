@@ -1,9 +1,9 @@
 """picardnet: multilevel Picard estimators for mean-field SDEs and the
 constructive ReLU-network calculus that realizes them exactly."""
 
-from .calculus import (affine_wrap, compose, dim_compose, dim_merge, dim_sum,
-                       extend_depth, identity_dims, identity_network, merge,
-                       scaled_sum, zero_network)
+from .calculus import (affine_network, affine_wrap, compose, dim_compose,
+                       dim_merge, dim_sum, extend_depth, identity_dims,
+                       identity_network, merge, scaled_sum, zero_network)
 from .estimator import (floor_to_grid, mlp_estimate, mlp_estimate_batch,
                         monte_carlo_payoff)
 from .nets import (DimVector, NeuralNetwork, dim_supnorm, dims,

@@ -8,10 +8,11 @@ Three width-vector operators mirror three network constructions:
 * ``dim_merge`` / ``merge``         -- stacking outputs of same-depth networks
                                        over a common input.
 
-Each network operation is exact in real arithmetic: the realization of the
-constructed network equals the corresponding combination of the inputs'
-realizations, and its width vector is exactly the operator applied to the
-inputs' width vectors.
+``affine_network`` builds the exact network of x -> W x + c; the identity
+network is its case W = I.  Each network operation is exact in real
+arithmetic: the realization of the constructed network equals the
+corresponding combination of the inputs' realizations, and its width vector
+is exactly the operator applied to the inputs' width vectors.
 """
 
 from __future__ import annotations
@@ -85,22 +86,36 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def identity_network(d: int, hidden_layers: int) -> NeuralNetwork:
-    """Network computing the identity on R^d with the given hidden depth.
+def _unsplit_tail(q: int, c: np.ndarray, hidden_layers: int) -> list:
+    """The layers after u in R^q is split into (relu(u), relu(-u)): identity
+    layers up to ``hidden_layers`` hidden layers, then [I | -I] (u+, u-) + c."""
+    return ([(np.eye(2 * q), np.zeros(2 * q)) for _ in range(hidden_layers - 1)]
+            + [(np.hstack([np.eye(q), -np.eye(q)]), c)])
 
-    Uses the split x = relu(x) - relu(-x); the hidden state (x+, x-) is
-    nonnegative, so interior identity layers pass it through ReLU unchanged.
-    """
+
+def affine_network(W: np.ndarray, c: np.ndarray,
+                   hidden_layers: int = 1) -> NeuralNetwork:
+    """Network computing x -> W x + c, width vector (k, 2q, ..., 2q, q) for W
+    of shape (q, k).  Uses the split u = relu(u) - relu(-u) on u = W x; the
+    pair (u+, u-) is nonnegative, so identity layers pass it through ReLU."""
+    W = np.asarray(W, dtype=np.float64)
+    c = np.array(c, dtype=np.float64)  # a copy: _readonly freezes in place
+    if W.ndim != 2 or W.size == 0:
+        raise ValueError(f"W must be a nonempty matrix, got shape {W.shape}")
+    q = W.shape[0]
+    if c.shape != (q,):
+        raise ValueError(f"offset c must have shape {(q,)}, got {c.shape}")
+    if hidden_layers < 1:
+        raise ValueError(f"need hidden_layers >= 1, got {hidden_layers}")
+    layers = [(np.vstack([W, -W]), np.zeros(2 * q))]
+    return NeuralNetwork(_readonly(layers + _unsplit_tail(q, c, hidden_layers)))
+
+
+def identity_network(d: int, hidden_layers: int) -> NeuralNetwork:
+    """Network computing the identity on R^d with the given hidden depth."""
     if d < 1 or hidden_layers < 1:
         raise ValueError("need d >= 1 and hidden_layers >= 1")
-    eye = np.eye(d)
-    split = np.vstack([eye, -eye])          # 2d x d
-    unsplit = np.hstack([eye, -eye])        # d x 2d
-    layers = [(split, np.zeros(2 * d))]
-    for _ in range(hidden_layers - 1):
-        layers.append((np.eye(2 * d), np.zeros(2 * d)))
-    layers.append((unsplit, np.zeros(d)))
-    return NeuralNetwork(_readonly(layers))
+    return affine_network(np.eye(d), np.zeros(d), hidden_layers)
 
 
 def zero_network(d_in: int, d_out: int, length: int = 3) -> NeuralNetwork:
@@ -200,21 +215,15 @@ def affine_wrap(net: NeuralNetwork, lam: float,
 
 
 def extend_depth(net: NeuralNetwork, extra_hidden: int) -> NeuralNetwork:
-    """Same realization, dims-length grown by exactly ``extra_hidden``.
-
-    The output layer is split through (relu(u), relu(-u)) pass-through
-    layers, i.e. composed with an identity network on the output side with
-    the interface layer fused.
-    """
+    """Same realization, dims-length grown by exactly ``extra_hidden``: the
+    output u is split into (relu(u), relu(-u)), which the tail of an identity
+    network passes through and recombines."""
     if extra_hidden < 0:
         raise ValueError("extra_hidden must be >= 0")
     if extra_hidden == 0:
         return NeuralNetwork(net.layers)
     q = net.output_width
     WL, BL = net.layers[-1]
-    layers = list(net.layers[:-1])
-    layers.append((np.vstack([WL, -WL]), np.concatenate([BL, -BL])))
-    for _ in range(extra_hidden - 1):
-        layers.append((np.eye(2 * q), np.zeros(2 * q)))
-    layers.append((np.hstack([np.eye(q), -np.eye(q)]), np.zeros(q)))
-    return NeuralNetwork(_readonly(layers))
+    layers = [(np.vstack([WL, -WL]), np.concatenate([BL, -BL]))]
+    layers += _unsplit_tail(q, np.zeros(q), extra_hidden)
+    return NeuralNetwork(net.layers[:-1] + _readonly(layers))

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .config import ExperimentConfig, load_config
-from .suites import run_suite
+from .suites import _SUITES, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -14,9 +14,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="picardnet",
         description="Mean-field estimator / network synthesis experiments")
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--suite", default="all",
-                        choices=["equivalence", "bounds", "convergence",
-                                 "scaling", "all"])
+    parser.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured master seed")
     parser.add_argument("--out", default=None,
@@ -31,7 +29,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         out_dir = args.out if args.out is not None else cfg.out
-        cfg.validate()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

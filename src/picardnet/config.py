@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .problems import linear_problem
+from .selection import log_param_bound, select_N
+
 
 @dataclass
 class ExperimentConfig:
@@ -52,16 +55,27 @@ class ExperimentConfig:
                     f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.level_cap > 3:  # a level-4 network holds ~7e12 parameters
             raise ValueError(f"level_cap must be <= 3, got {self.level_cap}")
+        for d in self.dims:  # the scaling suite's selection, before any suite
+            prob = linear_problem(d, T=self.horizon)
+            for eps in self.epsilons:
+                try:
+                    select_N(d, eps, prob.c, prob.r, prob.T)
+                except ValueError as exc:
+                    raise ValueError(f"horizon {self.horizon} admits no level "
+                                     f"for epsilon {eps}: {exc}") from None
+                try:
+                    log_param_bound(d, eps, self.delta, prob.c, prob.r, prob.T)
+                except ValueError as exc:
+                    raise ValueError(f"delta {self.delta} admits no C_delta at "
+                                     f"horizon {self.horizon}: {exc}") from None
         return self
 
 
-_INT_LIST = {"dims"}
-_FLOAT_LIST = {"epsilons"}
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    """Each value takes the type of its field's default, list entries that
+    of the default's first entry."""
+    cfg, defaults = ExperimentConfig(), ExperimentConfig()
+    known = {f.name for f in fields(ExperimentConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,16 +86,12 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in _INT_LIST:
-            setattr(cfg, key, [int(v) for v in value.split(",") if v.strip()])
-        elif key in _FLOAT_LIST:
-            setattr(cfg, key, [float(v) for v in value.split(",") if v.strip()])
-        elif key in ("problem", "out"):
-            setattr(cfg, key, value)
-        elif key in ("delta", "horizon"):
-            setattr(cfg, key, float(value))
+        default = getattr(defaults, key)
+        if isinstance(default, list):
+            kind = type(default[0])
+            setattr(cfg, key, [kind(v) for v in value.split(",") if v.strip()])
         else:
-            setattr(cfg, key, int(value))
+            setattr(cfg, key, type(default)(value))
     return cfg.validate()
 
 

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .calculus import affine_network, scaled_sum
 from .nets import NeuralNetwork
 
 
@@ -38,22 +39,6 @@ class TestProblem:
             raise ValueError("need c >= 1, r >= 0")
 
 
-def _linear_drift_net(d: int, a: float, b: float) -> NeuralNetwork:
-    """mu(x, y) = a x + b y via the split u = relu(u) - relu(-u)."""
-    eye = np.eye(d)
-    top = np.hstack([a * eye, b * eye])
-    W1 = np.vstack([top, -top])
-    W2 = np.hstack([eye, -eye])
-    return NeuralNetwork(((W1, np.zeros(2 * d)), (W2, np.zeros(d))))
-
-
-def _linear_payoff_net(d: int, w: np.ndarray, c0: float) -> NeuralNetwork:
-    """f(x) = <w, x> + c0 with one hidden layer of width 2."""
-    W1 = np.vstack([w, -w])
-    W2 = np.array([[1.0, -1.0]])
-    return NeuralNetwork(((W1, np.zeros(2)), (W2, np.array([c0]))))
-
-
 def linear_problem(d: int, a: float = 0.0, b: float = -0.5, T: float = 1.0,
                    w: Optional[np.ndarray] = None, c0: float = 0.0) -> TestProblem:
     """Linear mean-field drift a x + b E[X] with linear payoff.
@@ -72,15 +57,16 @@ def linear_problem(d: int, a: float = 0.0, b: float = -0.5, T: float = 1.0,
         return float(w @ np.asarray(x)) * np.exp(rate * horizon) + c0
 
     return TestProblem(d=d, T=T, c=c, r=1,
-                       mu_net=_linear_drift_net(d, a, b),
-                       f_net=_linear_payoff_net(d, w, c0),
+                       mu_net=affine_network(
+                           np.hstack([a * np.eye(d), b * np.eye(d)]), np.zeros(d)),
+                       f_net=affine_network(w[None, :], [c0]),
                        closed_form=closed,
                        name=f"linear(d={d},a={a},b={b})")
 
 
 def constant_problem(d: int, value: float, T: float = 1.0) -> TestProblem:
     """Zero drift and a constant payoff; terminal expectation is the value."""
-    mu = _linear_drift_net(d, 0.0, 0.0)
+    mu = affine_network(np.zeros((d, 2 * d)), np.zeros(d))
     f = NeuralNetwork(((np.zeros((2, d)), np.zeros(2)),
                        (np.zeros((1, 2)), np.array([value]))))
     return TestProblem(d=d, T=T, c=1.0, r=1, mu_net=mu, f_net=f,
@@ -103,15 +89,12 @@ def perturbed_problem(base: TestProblem, eps: float,
         v = np.zeros(d)
         v[0] = 1.0
     v = np.asarray(v, dtype=np.float64)
-    W1, B1 = base.mu_net.layers[0]
-    W2, B2 = base.mu_net.layers[1]
+    # v * sat(x_1): both hidden units read x_1, with biases 1 and 0
     gate = np.zeros((2, 2 * d))
-    gate[0, 0] = 1.0
-    gate[1, 0] = 1.0
-    W1p = np.vstack([W1, gate])
-    B1p = np.concatenate([B1, [1.0, 0.0]])
-    W2p = np.hstack([W2, eps * v[:, None], -eps * v[:, None]])
-    mu_eps = NeuralNetwork(((W1p, B1p), (W2p, B2)))
+    gate[:, 0] = 1.0
+    sat = NeuralNetwork(((gate, np.array([1.0, 0.0])),
+                         (np.hstack([v[:, None], -v[:, None]]), np.zeros(d))))
+    mu_eps = scaled_sum([base.mu_net, sat], [1.0, eps])
     prob = TestProblem(d=d, T=base.T, c=base.c, r=base.r,
                        mu_net=mu_eps, f_net=base.f_net,
                        closed_form=None,

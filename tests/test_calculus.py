@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from scipy.linalg import block_diag
 
-from picardnet.calculus import (_block_diag, affine_wrap, compose,
-                                dim_compose, dim_merge, dim_sum, extend_depth,
-                                identity_dims, identity_network, merge,
-                                scaled_sum, zero_network)
+from picardnet.calculus import (_block_diag, affine_network, affine_wrap,
+                                compose, dim_compose, dim_merge, dim_sum,
+                                extend_depth, identity_dims, identity_network,
+                                merge, scaled_sum, zero_network)
 from picardnet.nets import DimVector, dim_supnorm, dims, realize
 
 from test_nets import random_net
@@ -105,6 +105,37 @@ class TestIdentityNetwork:
 
     def test_zero_input(self):
         assert realize(identity_network(1, 3), np.zeros(1))[0] == 0.0
+
+
+class TestAffineNetwork:
+    @pytest.mark.parametrize("H", [1, 2, 3])
+    def test_realizes_affine_map(self, H):
+        rng = np.random.default_rng(40 + H)
+        for q, k in ((1, 1), (1, 4), (3, 2), (5, 6)):
+            W = rng.standard_normal((q, k)) * 3
+            c = rng.standard_normal(q)
+            net = affine_network(W, c, H)
+            assert tuple(dims(net)) == (k,) + (2 * q,) * H + (q,)
+            xs = rng.standard_normal((7, k)) * 10
+            want = xs @ W.T + c
+            for got in (realize(net, xs), np.array([realize(net, x)
+                                                    for x in xs])):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+
+    def test_default_depth_is_one(self):
+        assert tuple(dims(affine_network([[1.0, 2.0]], [0.5]))) == (2, 2, 1)
+
+    @pytest.mark.parametrize("W, c, H", [
+        (np.ones(3), np.zeros(1), 1),            # W a vector
+        (np.ones((1, 2, 2)), np.zeros(1), 1),    # W a 3-d array
+        (np.ones((2, 3)), np.zeros(3), 1),       # c of the wrong length
+        (np.ones((2, 3)), np.zeros((2, 1)), 1),  # c not a vector
+        (np.ones((2, 3)), np.zeros(2), 0),       # no hidden layer
+    ])
+    def test_bad_arguments_rejected(self, W, c, H):
+        with pytest.raises(ValueError):
+            affine_network(W, c, H)
 
 
 class TestCompose:

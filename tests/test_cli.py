@@ -70,10 +70,14 @@ class TestConfigParsing:
         ExperimentConfig(**{key: value + 1}).validate()
 
     # Each value would fail mid-run (in ParticleConfig, TestProblem or
-    # theorem_pipeline), so validation must reject it up front.
+    # theorem_pipeline), so validation must reject it up front.  At the
+    # default horizon 0.1 the scaling suite's C_delta does not exist for
+    # delta = 0.1, and at horizon 10 select_N finds no level; both used to
+    # surface only after the other three suites had written their CSVs.
     @pytest.mark.parametrize("key, value", [
         ("partner_count", 0), ("seed_budget", 0), ("horizon", -1.0),
-        ("horizon", float("nan")), ("level_cap", 4)])
+        ("horizon", float("nan")), ("level_cap", 4), ("delta", 0.1),
+        ("horizon", 10.0)])
     def test_run_breaking_value_rejected(self, key, value, tmp_path, capsys):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**{key: value}).validate()
@@ -81,6 +85,7 @@ class TestConfigParsing:
         path.write_text(f"{key} = {value}\n")
         assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}")
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestCli:
