@@ -86,6 +86,12 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Raise a ValueError naming ``name`` unless value is an integer >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _unsplit_tail(q: int, c: np.ndarray, hidden_layers: int) -> list:
     """The layers after u in R^q is split into (relu(u), relu(-u)): identity
     layers up to ``hidden_layers`` hidden layers, then [I | -I] (u+, u-) + c."""
@@ -105,23 +111,20 @@ def affine_network(W: np.ndarray, c: np.ndarray,
     q = W.shape[0]
     if c.shape != (q,):
         raise ValueError(f"offset c must have shape {(q,)}, got {c.shape}")
-    if hidden_layers < 1:
-        raise ValueError(f"need hidden_layers >= 1, got {hidden_layers}")
+    _check_count("hidden_layers", hidden_layers, 1)
     layers = [(np.vstack([W, -W]), np.zeros(2 * q))]
     return NeuralNetwork(_readonly(layers + _unsplit_tail(q, c, hidden_layers)))
 
 
 def identity_network(d: int, hidden_layers: int) -> NeuralNetwork:
     """Network computing the identity on R^d with the given hidden depth."""
-    if d < 1 or hidden_layers < 1:
-        raise ValueError("need d >= 1 and hidden_layers >= 1")
+    _check_count("d", d, 1)
     return affine_network(np.eye(d), np.zeros(d), hidden_layers)
 
 
 def zero_network(d_in: int, d_out: int, length: int = 3) -> NeuralNetwork:
     """Network of the given dims-length realizing the zero map R^in -> R^out."""
-    if length < 3:
-        raise ValueError("need length >= 3")
+    _check_count("length", length, 3)
     layers = [(np.zeros((1, d_in)), np.zeros(1))]
     for _ in range(length - 3):
         layers.append((np.zeros((1, 1)), np.zeros(1)))
@@ -218,8 +221,7 @@ def extend_depth(net: NeuralNetwork, extra_hidden: int) -> NeuralNetwork:
     """Same realization, dims-length grown by exactly ``extra_hidden``: the
     output u is split into (relu(u), relu(-u)), which the tail of an identity
     network passes through and recombines."""
-    if extra_hidden < 0:
-        raise ValueError("extra_hidden must be >= 0")
+    _check_count("extra_hidden", extra_hidden, 0)
     if extra_hidden == 0:
         return NeuralNetwork(net.layers)
     q = net.output_width

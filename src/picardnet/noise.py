@@ -13,11 +13,12 @@ No path is stored: W(k) is the Levy-Ciesielski (Brownian-bridge) sum on the
 dyadic grid 0..P, P = 2^J >= G, W(k) = (k/P) W(P) + sum_{j<J} tent_j(k) z_j
 (Glasserman 2003, Sec. 3.1), so a query draws the J + 1 normals of the
 nodes above k: node 0 is W(P), node 2^j + i the midpoint of interval i of
-level j.  Batch queries run in cache-sized blocks of keys.  A coarse index
-is a multiple of a power of two, where the tents of all finer levels are
-zero, so a block draws normals only for the nodes live at some index in it
-and sums exact zeros for the rest.  Python-int scalar and uint64 batch
-paths give the same values.
+level j.  Batch queries run in cache-sized blocks of keys.  W(0) = 0
+exactly, so index-0 rows never enter a block: they are exact zeros and
+draw no normal.  A coarse index is a multiple of a power of two, where the
+tents of all finer levels are zero, so a block draws normals only for the
+nodes live at some index in it and sums exact zeros for the rest.
+Python-int scalar and uint64 batch paths give the same values.
 """
 
 from __future__ import annotations
@@ -158,19 +159,29 @@ def brownian_path_batch(tree: NoiseTree, keys: np.ndarray,
                         idx: np.ndarray | None = None) -> np.ndarray:
     """W at grid index idx[b] for each stream key b, shape (len(keys), d);
     without idx, whole paths, shape (len(keys), grid_size + 1, d)."""
-    keys, G = np.asarray(keys, dtype=np.uint64), tree.grid_size
+    keys, G = np.asarray(keys), tree.grid_size
+    if keys.ndim != 1 or (keys.size and keys.dtype.kind not in "ui"):
+        raise ValueError("keys must be a 1-D array of integer stream keys, "
+                         f"got dtype {keys.dtype} and shape {keys.shape}")
+    if keys.dtype.kind == "i" and keys.min(initial=0) < 0:
+        raise ValueError("keys must be nonnegative stream keys")
+    keys = keys.astype(np.uint64, copy=False)
     if idx is None:
         return brownian_path_batch(
             tree, np.repeat(keys, G + 1), np.tile(np.arange(G + 1), len(keys))
         ).reshape(len(keys), G + 1, tree.d)
-    k = np.asarray(idx, dtype=np.int64)
-    if k.shape != keys.shape or k.min(initial=0) < 0 or k.max(initial=0) > G:
-        raise ValueError(f"need one grid index in [0, {G}] per key")
-    out = np.empty((len(keys), tree.d))
+    k = np.asarray(idx)
+    if (k.shape != keys.shape or (k.size and k.dtype.kind not in "ui")
+            or k.min(initial=0) < 0 or k.max(initial=0) > G):
+        raise ValueError(f"idx must hold one integer grid index in [0, {G}] "
+                         "per key")
+    # W(0) = 0 exactly: index-0 rows stay zero and out of the blocks.
+    out, rows = np.zeros((len(keys), tree.d)), np.flatnonzero(k)
+    keys, k = keys[rows], k[rows].astype(np.int64, copy=False)
     step = max(1, _BLOCK // tree._bridge[-1].size)
-    for lo in range(0, len(keys), step):
-        out[lo:lo + step] = _bridge_sum(tree, keys[lo:lo + step],
-                                        k[lo:lo + step])
+    for lo in range(0, len(rows), step):
+        out[rows[lo:lo + step]] = _bridge_sum(tree, keys[lo:lo + step],
+                                              k[lo:lo + step])
     return out
 
 
@@ -184,7 +195,9 @@ def _bridge_sum(tree: NoiseTree, keys: np.ndarray,
     bitwise or).  Spans halve from column to column, so the live columns
     come first.  Only they draw normals; the others add exact zeros to the
     sum over every column, which keeps the order of the additions and so
-    every value.
+    every value.  Index-0 rows never enter a block from
+    ``brownian_path_batch``: they would draw every live column only to
+    weight it by zero.
     """
     shift, span, last, scale, counter = tree._bridge
     o = int(np.bitwise_or.reduce(k, initial=0))

@@ -286,6 +286,18 @@ class TestExtendDepth:
             assert len(dims(extend_depth(net, extra))) == 3 + extra
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: affine_network(np.eye(2), np.zeros(2), 2.5), "hidden_layers"),
+    (lambda: identity_network(2, 2.5), "hidden_layers"),
+    (lambda: identity_network(1.5, 2), "d"),
+    (lambda: extend_depth(identity_network(2, 1), 1.5), "extra_hidden"),
+    (lambda: zero_network(1, 1, 3.5), "length"),
+], ids=["affine", "identity-depth", "identity-d", "extend", "zero"])
+def test_non_integer_size_rejected(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        build()
+
+
 def test_zero_network():
     z = zero_network(3, 2, 5)
     assert tuple(dims(z)) == (3, 1, 1, 1, 2)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +287,31 @@ class TestMonteCarloPayoff:
                               np.ones(1))
             singles.append(realize(prob.f_net, st)[0])
         assert got == pytest.approx(np.mean(singles), rel=1e-9)
+
+
+def pinned_estimates() -> str:
+    """Float hex of payoffs and estimate rows whose level-n queries put
+    index-0 rows beside live rows in one Brownian block."""
+    x = np.array([0.3, -0.2])
+    cases = [("linear d=2", linear_problem(2), 4, 20),
+             ("drift 4->64->64->2", wide_problem(width=64, seed=5), 3, 20)]
+    lines = []
+    for name, prob, n, K in cases:
+        tree = NoiseTree(master_seed=7, T=prob.T, d=2, grid_levels=n, m=n)
+        payoff = monte_carlo_payoff(prob, tree, K, n, n, x)
+        rows = mlp_estimate_batch(prob, tree, range(1, K + 1), n, n, prob.T, x)
+        lines += [f"# {name} n=m={n} K={K} master_seed=7",
+                  f"payoff {float(payoff).hex()}"]
+        lines += [f"row {b} " + " ".join(v.hex() for v in row.tolist())
+                  for b, row in enumerate(rows, 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_estimates_keep_their_bits():
+    # tests/data/estimates.txt was written before Brownian queries stopped
+    # drawing normals for index-0 rows.
+    golden = Path(__file__).parent / "data" / "estimates.txt"
+    assert pinned_estimates() == golden.read_text()
 
 
 class TestGridClosure:

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
+import picardnet.noise
 from picardnet.noise import (NoiseTree, base_keys, brownian_at,
                              brownian_path_batch, fold_keys, grid_index,
                              theta_key, uniform_time, uniform_time_batch)
@@ -158,6 +160,70 @@ class TestCoarseQueries:
         mixed = brownian_path_batch(tree, keys, np.arange(100) % 2 * 5)
         np.testing.assert_array_equal(mixed[::2], np.zeros((50, 3)))
         assert np.all(mixed[1::2] != 0)
+
+
+class TestIndexZeroRows:
+    """W(0) = 0, so a query draws no normal for an index-0 row, and index-0
+    rows change neither the draws nor the values of the rows beside them."""
+
+    @staticmethod
+    def query(monkeypatch, tree, keys, idx):
+        """The query's values and the count of normals it drew."""
+        sizes = []
+
+        def counting_ndtri(u):
+            sizes.append(np.size(u))
+            return ndtri(u)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(picardnet.noise, "ndtri", counting_ndtri)
+            return brownian_path_batch(tree, keys, idx), sum(sizes)
+
+    def test_zero_rows_draw_nothing(self, monkeypatch):
+        tree = make_tree(seed=12, d=2, levels=3, m=3)  # G = 27, P = 32
+        R = 200
+        keys = base_keys(tree.master_seed, np.arange(1, R + 1))
+        odd = 2 * np.random.default_rng(5).integers(0, 14, R) + 1
+        none, mixed = np.zeros(R, int), np.where(np.arange(R) % 2, odd, 0)
+        zeros, drawn = self.query(monkeypatch, tree, keys, none)
+        assert drawn == 0
+        np.testing.assert_array_equal(zeros, np.zeros((R, 2)))
+        got, drawn = self.query(monkeypatch, tree, keys, mixed)
+        live = np.flatnonzero(mixed)
+        alone, drawn_alone = self.query(monkeypatch, tree, keys[live],
+                                        mixed[live])
+        # at an odd index every one of the J + 1 = 6 bridge nodes is live
+        assert drawn == drawn_alone == len(live) * tree.d * 6
+        np.testing.assert_array_equal(got[live], alone)
+        for b in range(R):
+            for idx, out in ((mixed, got), (none, zeros)):
+                np.testing.assert_array_equal(
+                    brownian_path_batch(tree, keys[b:b + 1], idx[b:b + 1]),
+                    out[b:b + 1])
+
+
+class TestQueryBoundary:
+    """Bad keys or indices raise a ValueError that names them instead of
+    being cast, truncated or failing inside NumPy."""
+
+    @pytest.mark.parametrize("keys, idx, name", [
+        ([1, 2], [0.5, 1.5], "idx"),
+        ([1.5, 2.0], [0, 1], "keys"),
+        ([-1, 2], [0, 1], "keys"),
+        ([[1, 2]], [[0, 1]], "keys"),
+    ], ids=["float-idx", "float-keys", "negative-key", "2d-keys"])
+    def test_bad_query_rejected(self, keys, idx, name):
+        tree = make_tree(seed=2, levels=2, m=2)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            brownian_path_batch(tree, keys, idx)
+
+    def test_integer_lists_and_empty_queries_accepted(self):
+        tree = make_tree(seed=2, d=2, levels=2, m=2)
+        np.testing.assert_array_equal(
+            brownian_path_batch(tree, [7, 2 ** 40], [1, 4]),
+            brownian_path_batch(tree, np.array([7, 2 ** 40], np.uint64),
+                                np.array([1, 4], np.uint64)))
+        assert brownian_path_batch(tree, [], []).shape == (0, 2)
 
 
 class TestKeys:
