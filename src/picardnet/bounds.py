@@ -7,6 +7,14 @@ subsample.  Coupled runs share Brownian increments and partner draws, so a
 drift perturbation is measured under common random numbers and vanishes
 exactly at perturbation size zero.  The particle checks take the terminal
 states of one such run, so a single simulation serves all of them.
+
+The solver runs feature-major: a problem's states are held as (d, M), and
+each Euler step fills one (2d, M, J) block of (own, partner) pairs and runs
+the drift layers on its (2d, M*J) view as h = W @ h + B.  It does not call
+``realize``: on (M*J, 2d) rows, ``realize``'s row-major ``h @ W.T`` leaves
+numpy's inner loops runs only as long as a layer is wide, and ``realize``
+stays row-major because a feature-major product would move the bits of the
+estimator's values.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import _check_count
 from .nets import realize
 from .problems import TestProblem
 
@@ -28,8 +37,10 @@ class ParticleConfig:
     partner_count: int = 64
 
     def __post_init__(self):
-        if self.particles < 2 or self.euler_steps < 1 or self.partner_count < 1:
-            raise ValueError(f"invalid particle configuration {self}")
+        _check_count("particles", self.particles, 2)
+        _check_count("euler_steps", self.euler_steps, 1)
+        _check_count("master_seed", self.master_seed, 0)
+        _check_count("partner_count", self.partner_count, 1)
 
 
 @dataclass(frozen=True)
@@ -47,27 +58,46 @@ class BoundCheckResult:
 def simulate_particles(problems: list[TestProblem], cfg: ParticleConfig,
                        x: np.ndarray) -> list[np.ndarray]:
     """Terminal particle states (M, d) per problem, all problems coupled on
-    the same Brownian increments and partner subsamples."""
+    the same Brownian increments and partner subsamples.
+
+    Each step draws the (M, J) partner indices, J = min(partner_count, M),
+    then the (M, d) increments.  The drift of particle i is the mean over
+    its J partners j of mu(X_i, X_j), evaluated feature-major on one
+    (2d, M*J) pair block per problem, not through ``realize`` (see the
+    module docstring).  The states are returned as C-contiguous (M, d).
+    """
+    if not problems:
+        raise ValueError("problems must list at least one problem")
     d = problems[0].d
     T = problems[0].T
     for p in problems:
         if p.d != d or p.T != T:
             raise ValueError("coupled problems must share d and T")
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d,) or not np.isfinite(x).all():
+        raise ValueError(f"x must be a finite vector of length d={d}, "
+                         f"got shape {x.shape}")
     M, J = cfg.particles, min(cfg.partner_count, cfg.particles)
     rng = np.random.default_rng(cfg.master_seed)
-    x = np.asarray(x, dtype=np.float64)
-    states = [np.tile(x, (M, 1)) for _ in problems]
+    states = [np.repeat(x[:, None], M, axis=1) for _ in problems]
+    pairs = np.empty((2 * d, M, J))
     dt = T / cfg.euler_steps
     for _ in range(cfg.euler_steps):
         partners = rng.integers(0, M, size=(M, J))
-        dW = rng.normal(0.0, math.sqrt(dt), size=(M, d))
+        dW = rng.normal(0.0, math.sqrt(dt), size=(M, d)).T
         for idx, (prob, st) in enumerate(zip(problems, states)):
-            pairs = np.concatenate(
-                [np.broadcast_to(st[:, None], (M, J, d)), st[partners]],
-                axis=2).reshape(M * J, 2 * d)
-            drift = realize(prob.mu_net, pairs).reshape(M, J, d).mean(axis=1)
+            pairs[:d] = st[:, :, None]
+            np.take(st, partners, axis=1, out=pairs[d:])
+            h = pairs.reshape(2 * d, M * J)
+            last = len(prob.mu_net.layers) - 1
+            for n, (W, B) in enumerate(prob.mu_net.layers):
+                h = W @ h
+                h += B[:, None]
+                if n != last:
+                    np.maximum(h, 0.0, out=h)
+            drift = h.reshape(d, M, J).mean(axis=2)
             states[idx] = st + dt * drift + dW
-    return states
+    return [np.ascontiguousarray(st.T) for st in states]
 
 
 def particle_mean_payoff(problem: TestProblem, states: np.ndarray) -> float:
@@ -123,6 +153,10 @@ def brownian_moment_check(d: int, p: int, r: int, t: float = 1.0,
                           samples: int = 10 ** 5,
                           seed: int = 0) -> BoundCheckResult:
     """Empirical L^{pr} norm of ||W(t)|| against sqrt(t (d + 2pr))."""
+    for name, value in (("d", d), ("p", p), ("r", r), ("samples", samples)):
+        _check_count(name, value, 1)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(samples, d))
     q = p * r

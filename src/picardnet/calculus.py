@@ -124,6 +124,8 @@ def identity_network(d: int, hidden_layers: int) -> NeuralNetwork:
 
 def zero_network(d_in: int, d_out: int, length: int = 3) -> NeuralNetwork:
     """Network of the given dims-length realizing the zero map R^in -> R^out."""
+    _check_count("d_in", d_in, 1)
+    _check_count("d_out", d_out, 1)
     _check_count("length", length, 3)
     layers = [(np.zeros((1, d_in)), np.zeros(1))]
     for _ in range(length - 3):

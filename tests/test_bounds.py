@@ -9,12 +9,52 @@ from picardnet.bounds import (BoundCheckResult, ParticleConfig,
                               particle_mean_payoff, simulate_particles)
 from picardnet.config import ExperimentConfig
 from picardnet.estimator import monte_carlo_payoff
+from picardnet.nets import realize
 from picardnet.noise import NoiseTree
 from picardnet.problems import linear_problem, perturbed_problem
 from picardnet.suites import run_bounds_suite
+from test_estimator import wide_problem
 
 FAST = ParticleConfig(particles=2000, euler_steps=50, master_seed=7,
                       partner_count=32)
+
+
+def row_major_particles(problems, cfg, x):
+    """Oracle: the Euler-partner loop on (M, d) states, with the drift
+    realized on (M*J, 2d) rows of (own, partner) pairs."""
+    d, T = problems[0].d, problems[0].T
+    M, J = cfg.particles, min(cfg.partner_count, cfg.particles)
+    rng = np.random.default_rng(cfg.master_seed)
+    states = [np.tile(x, (M, 1)) for _ in problems]
+    dt = T / cfg.euler_steps
+    for _ in range(cfg.euler_steps):
+        partners = rng.integers(0, M, size=(M, J))
+        dW = rng.normal(0.0, math.sqrt(dt), size=(M, d))
+        for idx, (prob, st) in enumerate(zip(problems, states)):
+            pairs = np.concatenate(
+                [np.broadcast_to(st[:, None], (M, J, d)), st[partners]],
+                axis=2).reshape(M * J, 2 * d)
+            drift = realize(prob.mu_net, pairs).reshape(M, J, d).mean(axis=1)
+            states[idx] = st + dt * drift + dW
+    return states
+
+
+@pytest.mark.parametrize("partner_count", [8, 300], ids=["J<M", "J>M"])
+@pytest.mark.parametrize("d, wide", [(1, False), (2, False), (3, False),
+                                     (2, True)],
+                         ids=["linear-1", "linear-2", "linear-3", "wide-2"])
+def test_states_match_row_major_oracle(d, wide, partner_count):
+    base = wide_problem(d, width=64) if wide else linear_problem(d, a=0.2)
+    problems = [base] if wide else [perturbed_problem(base, eps=0.1)[0], base]
+    cfg = ParticleConfig(particles=200, euler_steps=10, master_seed=4,
+                         partner_count=partner_count)
+    x = np.linspace(0.5, 1.0, d)
+    got = simulate_particles(problems, cfg, x)
+    want = row_major_particles(problems, cfg, x)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == (200, d) and g.flags.c_contiguous
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 class TestParticleMeanPayoff:
@@ -197,3 +237,34 @@ def test_bounds_suite_rows_equal_public_checks():
     assert rows == [[c.name, f"{c.empirical:.6e}", f"{c.bound:.6e}",
                      int(c.satisfied), c.samples] for c in want]
     assert ok == all(c.satisfied for c in want)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("particles", 2000.0), ("particles", 1), ("euler_steps", 2.5),
+    ("euler_steps", 0), ("partner_count", 1.5), ("partner_count", 0),
+    ("master_seed", 0.5), ("master_seed", -1)])
+def test_particle_config_rejects_bad_sizes(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        ParticleConfig(**{field: value})
+
+
+@pytest.mark.parametrize("problems, x, name", [
+    ([], np.ones(2), "problems"),
+    ([linear_problem(2)], np.ones(3), "x"),
+    ([linear_problem(2)], np.array([1.0, np.nan]), "x")],
+    ids=["no-problems", "x-shape", "x-nan"])
+def test_simulate_particles_rejects_bad_input(problems, x, name):
+    cfg = ParticleConfig(particles=10, euler_steps=2, partner_count=4)
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        simulate_particles(problems, cfg, x)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"d": 0}, "d"), ({"p": 0}, "p"), ({"r": 0}, "r"),
+    ({"samples": 0}, "samples"),
+    ({"t": -1.0}, "t"), ({"t": math.nan}, "t"), ({"t": math.inf}, "t")],
+    ids=["d-0", "p-0", "r-0", "samples-0", "t-negative", "t-nan", "t-inf"])
+def test_brownian_moment_check_rejects_bad_arguments(kwargs, name):
+    args = {"d": 1, "p": 1, "r": 1, "t": 1.0, "samples": 10} | kwargs
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        brownian_moment_check(**args)

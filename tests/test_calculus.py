@@ -292,7 +292,11 @@ class TestExtendDepth:
     (lambda: identity_network(1.5, 2), "d"),
     (lambda: extend_depth(identity_network(2, 1), 1.5), "extra_hidden"),
     (lambda: zero_network(1, 1, 3.5), "length"),
-], ids=["affine", "identity-depth", "identity-d", "extend", "zero"])
+    (lambda: zero_network(1.5, 1), "d_in"),
+    (lambda: zero_network(0, 1), "d_in"),
+    (lambda: zero_network(1, 0), "d_out"),
+], ids=["affine", "identity-depth", "identity-d", "extend", "zero",
+        "zero-float-d_in", "zero-d_in", "zero-d_out"])
 def test_non_integer_size_rejected(build, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         build()
