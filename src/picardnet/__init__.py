@@ -12,8 +12,7 @@ from .nets import (DimVector, NeuralNetwork, dim_supnorm, dims,
 from .noise import NoiseTree, ThetaIndex, brownian_at, uniform_time
 from .problems import (TestProblem, constant_problem, linear_problem,
                        perturbed_problem)
-from .selection import (compute_C_delta, log_C_delta, log_param_bound,
-                        param_bound, select_N, select_epsilon)
+from .selection import log_C_delta, log_param_bound, select_N, select_epsilon
 from .synthesis import (PipelineResult, SynthesisReport, synthesize_mc_network,
                         synthesize_mlp_network, theorem_pipeline)
 

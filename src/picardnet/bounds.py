@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _check_count
-from .nets import realize
+from .nets import _check_count, realize
 from .problems import TestProblem
 
 
@@ -111,10 +110,27 @@ def _mu_at_zero_norm(problem: TestProblem) -> float:
         realize(problem.mu_net, np.zeros(2 * problem.d))))
 
 
+def _check_x(x, d: int) -> None:
+    if np.shape(x) != (d,):
+        raise ValueError(f"x must have shape ({d},), got {np.shape(x)}")
+
+
+def _check_states(problem: TestProblem, x, p, *states) -> None:
+    """Raise a ValueError naming p, x or states unless p is an integer >= 1,
+    x has shape (d,) and the states are nonempty (M, d) arrays of one shape."""
+    _check_count("p", p, 1)
+    _check_x(x, problem.d)
+    M = len(states[0]) if np.ndim(states[0]) == 2 else 0
+    if M < 1 or any(np.shape(st) != (M, problem.d) for st in states):
+        raise ValueError(f"states must be nonempty (M, {problem.d}) arrays of "
+                         f"one shape, got {[np.shape(st) for st in states]}")
+
+
 def check_moment_bound(problem: TestProblem, states: np.ndarray,
                        x: np.ndarray, p: int) -> BoundCheckResult:
     """Empirical L^{pr} norm of the terminal states started at x against the
     growth bound (||x|| + T ||mu(0,0)|| + sqrt(T (d + 2pr))) e^{cT}."""
+    _check_states(problem, x, p, states)
     d, T, c, r = problem.d, problem.T, problem.c, problem.r
     q = p * r
     empirical = np.mean(np.linalg.norm(states, axis=1) ** q) ** (1.0 / q)
@@ -130,6 +146,7 @@ def check_perturbation_bounds(problem0: TestProblem, problem_eps: TestProblem,
     """Coupled-state and payoff-difference checks for a drift perturbation
     of size eps with scale constant b, on the coupled terminal states st0
     and st_eps started at x; returns the pair of results."""
+    _check_states(problem0, x, p, st0, st_eps)
     d, T, c, r = problem0.d, problem0.T, problem0.c, problem0.r
     root = math.sqrt(T * (d + 2 * p * r))
     base0 = 1 + np.linalg.norm(x) + T * _mu_at_zero_norm(problem0) + root
@@ -171,6 +188,9 @@ def mlp_error_bound(problem: TestProblem, n: int, m: int,
                     x: np.ndarray) -> float:
     """Closed-form level-n error bound c e^{m/2} m^{-n/2}
     (||x|| + c d^c) e^{3cTn}."""
+    _check_count("n", n, 0)
+    _check_count("m", m, 1)
+    _check_x(x, problem.d)
     d, T, c = problem.d, problem.T, problem.c
     return float(c * math.exp(m / 2) / m ** (n / 2)
                  * (np.linalg.norm(x) + c * d ** c)

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .nets import DimVector, NeuralNetwork, dims
+from .nets import DimVector, NeuralNetwork, _check_count, dims
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +56,8 @@ def dim_merge(alpha: DimVector, beta: DimVector) -> DimVector:
 
 def identity_dims(d: int, length: int) -> DimVector:
     """The vector (d, 2d, ..., 2d, d) of a given length >= 3."""
-    if length < 3:
-        raise ValueError("identity dims need length >= 3")
+    _check_count("d", d, 1)
+    _check_count("length", length, 3)
     return DimVector((d,) + (2 * d,) * (length - 2) + (d,))
 
 
@@ -84,12 +84,6 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """Raise a ValueError naming ``name`` unless value is an integer >= low."""
-    if not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _unsplit_tail(q: int, c: np.ndarray, hidden_layers: int) -> list:

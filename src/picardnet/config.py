@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .nets import _check_count
 from .problems import linear_problem
 from .selection import log_param_bound, select_N
 
@@ -40,8 +41,6 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, 1)")
         if any(not 0 < e < 1 for e in self.epsilons):
             raise ValueError("every epsilon must lie in (0, 1)")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("dimensions must be positive")
         if self.problem not in ("linear", "constant"):
             raise ValueError(f"unknown problem {self.problem!r}")
         if not 0 < self.horizon < float("inf"):
@@ -50,12 +49,11 @@ class ExperimentConfig:
                          ("points", 1), ("euler_steps", 1),
                          ("convergence_seeds", 1), ("partner_count", 1),
                          ("seed_budget", 1)):
-            if getattr(self, key) < low:
-                raise ValueError(
-                    f"{key} must be >= {low}, got {getattr(self, key)}")
+            _check_count(key, getattr(self, key), low)
         if self.level_cap > 3:  # a level-4 network holds ~7e12 parameters
             raise ValueError(f"level_cap must be <= 3, got {self.level_cap}")
         for d in self.dims:  # the scaling suite's selection, before any suite
+            _check_count("dims", d, 1)
             prob = linear_problem(d, T=self.horizon)
             for eps in self.epsilons:
                 try:

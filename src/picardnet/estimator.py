@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nets import realize
+from .nets import _check_count, realize
 from .noise import (_BLOCK, NoiseTree, ThetaIndex, base_keys, brownian_at,
                     brownian_path_batch, fold_keys, uniform_time,
                     uniform_time_batch)
@@ -55,8 +55,7 @@ def _grid_steps(t, G: int, T: float):
 def _check_scalars(n, m, t, T, K=1):
     """Raise a ValueError naming the first of n, m, K and t out of range."""
     for name, v, low in (("n", n, 0), ("m", m, 1), ("K", K, 1)):
-        if not isinstance(v, (int, np.integer)) or v < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        _check_count(name, v, low)
     if not 0 <= t <= T * (1 + 1e-12):
         raise ValueError(f"time t = {t!r} outside [0, {T}]")
 

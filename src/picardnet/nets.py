@@ -16,6 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Raise a ValueError naming ``name`` unless value is an integer >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def relu(x: np.ndarray) -> np.ndarray:
     """Componentwise max(x, 0)."""
     return np.maximum(x, 0.0)

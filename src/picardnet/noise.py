@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from .nets import _check_count
+
 ThetaIndex = tuple[int, ...]
 
 _MASK = (1 << 64) - 1
@@ -118,14 +120,10 @@ class NoiseTree:
     _bridge: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("d", "grid_levels", "m"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("d", 1), ("grid_levels", 0), ("m", 1)):
+            _check_count(name, getattr(self, name), low)
         if not 0 < self.T < np.inf:
             raise ValueError(f"T must be finite and > 0, got {self.T!r}")
-        if self.d < 1 or self.grid_levels < 0 or self.m < 1:
-            raise ValueError("need d >= 1, grid_levels >= 0, m >= 1")
         if self.m > 1 and (self.grid_levels > 53 or self.grid_size > 2 ** 53):
             raise ValueError(
                 f"grid size m**grid_levels = {self.m}**{self.grid_levels} "
@@ -156,9 +154,8 @@ def uniform_time_batch(keys: np.ndarray) -> np.ndarray:
 
 
 def brownian_path_batch(tree: NoiseTree, keys: np.ndarray,
-                        idx: np.ndarray | None = None) -> np.ndarray:
-    """W at grid index idx[b] for each stream key b, shape (len(keys), d);
-    without idx, whole paths, shape (len(keys), grid_size + 1, d)."""
+                        idx: np.ndarray) -> np.ndarray:
+    """W at grid index idx[b] for each stream key b, shape (len(keys), d)."""
     keys, G = np.asarray(keys), tree.grid_size
     if keys.ndim != 1 or (keys.size and keys.dtype.kind not in "ui"):
         raise ValueError("keys must be a 1-D array of integer stream keys, "
@@ -166,10 +163,6 @@ def brownian_path_batch(tree: NoiseTree, keys: np.ndarray,
     if keys.dtype.kind == "i" and keys.min(initial=0) < 0:
         raise ValueError("keys must be nonnegative stream keys")
     keys = keys.astype(np.uint64, copy=False)
-    if idx is None:
-        return brownian_path_batch(
-            tree, np.repeat(keys, G + 1), np.tile(np.arange(G + 1), len(keys))
-        ).reshape(len(keys), G + 1, tree.d)
     k = np.asarray(idx)
     if (k.shape != keys.shape or (k.size and k.dtype.kind not in "ui")
             or k.min(initial=0) < 0 or k.max(initial=0) > G):

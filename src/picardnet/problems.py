@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import affine_network, scaled_sum
-from .nets import NeuralNetwork
+from .nets import NeuralNetwork, _check_count
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,9 @@ class TestProblem:
             raise ValueError("payoff net must map R^d -> R")
         if not 0 < self.T < np.inf:
             raise ValueError(f"T must be finite and > 0, got {self.T!r}")
-        if self.c < 1 or self.r < 0:
-            raise ValueError("need c >= 1, r >= 0")
+        if not 1 <= self.c < np.inf:
+            raise ValueError(f"c must lie in [1, inf), got {self.c!r}")
+        _check_count("r", self.r, 0)
 
 
 def linear_problem(d: int, a: float = 0.0, b: float = -0.5, T: float = 1.0,

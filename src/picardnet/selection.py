@@ -4,18 +4,27 @@ These are closed-form selections: an inner perturbation accuracy, a minimal
 level count N, a universal constant C_delta defined as a supremum over the
 levels, and the resulting bound on the synthesized network's parameter count.
 C_delta and the parameter bound overflow double precision for typical
-constants, so the primary representations are logarithmic; the plain values
-are provided for convenience and may be infinite.
+constants, so both are computed as logarithms only.
 """
 
 from __future__ import annotations
 
 import math
 
+from .nets import _check_count
+
+
+def _check_accuracy(d, epsilon) -> None:
+    """Reject d < 1 and epsilon outside (0, 1), naming the argument."""
+    _check_count("d", d, 1)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+
 
 def select_epsilon(d: int, epsilon: float, c: float, r: int,
                    T: float) -> float:
     """Inner accuracy epsilon / (2^r (c d^c)^{r+1} e^{(r+2) c T})."""
+    _check_accuracy(d, epsilon)
     return epsilon / (2 ** r * (c * d ** c) ** (r + 1)
                       * math.exp((r + 2) * c * T))
 
@@ -28,6 +37,7 @@ def _log_level_error(n: float, d: int, c: float, r: int, T: float) -> float:
 
 def select_N(d: int, epsilon: float, c: float, r: int, T: float) -> int:
     """Minimal level n >= 2 whose error expression drops below epsilon/2."""
+    _check_accuracy(d, epsilon)
     target = math.log(epsilon / 2)
     for n in range(2, 10 ** 4 + 1):
         if _log_level_error(n, d, c, r, T) <= target:
@@ -71,30 +81,14 @@ def log_C_delta(delta: float, c: float, T: float) -> float:
                for n in (2, math.floor(lo), math.floor(lo) + 1, math.ceil(hi)))
 
 
-def compute_C_delta(delta: float, c: float, T: float) -> float:
-    """The supremum itself; infinite whenever its log exceeds float range."""
-    log_val = log_C_delta(delta, c, T)
-    try:
-        return math.exp(log_val)
-    except OverflowError:
-        return math.inf
-
-
 def log_param_bound(d: int, epsilon: float, delta: float, c: float, r: int,
                     T: float) -> float:
     """log of 96 d^{3c} ((2 c d^c)^{r+1} e^{(r+2) c T})^{3c+8+delta}
     C_delta epsilon^{-(3c+8+delta)}."""
+    _check_accuracy(d, epsilon)
     expo = 3 * c + 8 + delta
     return (math.log(96) + 3 * c * math.log(d)
             + expo * ((r + 1) * math.log(2 * c * d ** c) + (r + 2) * c * T)
             + log_C_delta(delta, c, T)
             + expo * math.log(1 / epsilon))
 
-
-def param_bound(d: int, epsilon: float, delta: float, c: float, r: int,
-                T: float) -> float:
-    """The parameter-count bound itself; may be infinite in double precision."""
-    try:
-        return math.exp(log_param_bound(d, epsilon, delta, c, r, T))
-    except OverflowError:
-        return math.inf

@@ -136,10 +136,6 @@ class PipelineResult:
     attempts: int
     succeeded: bool
 
-    @property
-    def network(self) -> NeuralNetwork:
-        return self.report.network
-
 
 def theorem_pipeline(problem: TestProblem, epsilon: float, delta: float,
                      level_cap: int = 2, seed_budget: int = 50,

@@ -268,3 +268,44 @@ def test_brownian_moment_check_rejects_bad_arguments(kwargs, name):
     args = {"d": 1, "p": 1, "r": 1, "t": 1.0, "samples": 10} | kwargs
     with pytest.raises(ValueError, match=f"^{name} must "):
         brownian_moment_check(**args)
+
+
+def _moment(states=np.ones((4, 1)), x=np.ones(1), p=2):
+    return check_moment_bound(linear_problem(1), states, x, p)
+
+
+def _perturbation(st0=np.ones((4, 1)), st_eps=np.ones((4, 1)), x=np.ones(1),
+                  p=2):
+    base = linear_problem(1)
+    pert, b = perturbed_problem(base, eps=0.1)
+    return check_perturbation_bounds(base, pert, 0.1, b, st0, st_eps, x, p)
+
+
+def _error(n=2, m=2, x=np.ones(1)):
+    return mlp_error_bound(linear_problem(1), n, m, x)
+
+
+@pytest.mark.parametrize("check, kwargs, name", [
+    (_moment, {"p": 0}, "p"),
+    (_moment, {"p": 1.5}, "p"),
+    (_moment, {"x": np.ones(3)}, "x"),
+    (_moment, {"states": np.ones((0, 1))}, "states"),
+    (_moment, {"states": np.ones(4)}, "states"),
+    (_moment, {"states": np.ones((4, 2))}, "states"),
+    (_perturbation, {"p": 0}, "p"),
+    (_perturbation, {"x": np.ones(3)}, "x"),
+    (_perturbation, {"st_eps": np.ones((5, 1))}, "states"),
+    (_perturbation, {"st0": np.ones((0, 1)), "st_eps": np.ones((0, 1))},
+     "states"),
+    (_error, {"n": -1}, "n"),
+    (_error, {"n": 1.5}, "n"),
+    (_error, {"m": 0}, "m"),
+    (_error, {"m": 2.0}, "m"),
+    (_error, {"x": np.ones(3)}, "x"),
+], ids=["moment-p0", "moment-p1.5", "moment-x-length-3", "moment-empty",
+        "moment-1d-states", "moment-states-d2", "pert-p0",
+        "pert-x-length-3", "pert-shape-mismatch", "pert-empty", "error-n-1",
+        "error-n1.5", "error-m0", "error-m2.0", "error-x-length-3"])
+def test_bound_check_rejects_bad_arguments(check, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        check(**kwargs)

@@ -69,6 +69,14 @@ class TestConfigParsing:
             parse_config(f"{key} = {value}\n")
         ExperimentConfig(**{key: value + 1}).validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("mc_samples", 2.5), ("level_cap", 1.0), ("dims", [1.5]),
+        ("dims", [1, 0])],
+        ids=["mc_samples-2.5", "level_cap-1.0", "dims-1.5", "dims-0"])
+    def test_non_integer_count_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer >= "):
+            ExperimentConfig(**{key: value}).validate()
+
     # Each value would fail mid-run (in ParticleConfig, TestProblem or
     # theorem_pipeline), so validation must reject it up front.  At the
     # default horizon 0.1 the scaling suite's C_delta does not exist for

@@ -15,6 +15,15 @@ def make_tree(seed=0, T=1.0, d=1, levels=2, m=2):
     return NoiseTree(master_seed=seed, T=T, d=d, grid_levels=levels, m=m)
 
 
+def whole_paths(tree, keys):
+    """W at every grid index for each key, shape (len(keys), G + 1, d),
+    from one index query."""
+    G = tree.grid_size
+    return brownian_path_batch(
+        tree, np.repeat(keys, G + 1), np.tile(np.arange(G + 1), len(keys))
+    ).reshape(len(keys), G + 1, tree.d)
+
+
 class TestUniformTime:
     def test_determinism(self):
         tree = make_tree()
@@ -63,7 +72,7 @@ class TestBrownian:
     def test_gaussian_moments(self):
         tree = make_tree(seed=77, d=2, levels=1, m=2)
         keys = base_keys(tree.master_seed, np.arange(1, 100001))
-        paths = brownian_path_batch(tree, keys)
+        paths = whole_paths(tree, keys)
         terminal = paths[:, -1, :]  # W(T)/sqrt(T), T = 1
         n = terminal.shape[0]
         for comp in range(2):
@@ -76,7 +85,7 @@ class TestBrownian:
         # increments along the grid have the grid-step variance
         tree = make_tree(seed=5, d=1, levels=3, m=2)
         keys = base_keys(tree.master_seed, np.arange(1, 20001))
-        paths = brownian_path_batch(tree, keys)[:, :, 0]
+        paths = whole_paths(tree, keys)[:, :, 0]
         incs = np.diff(paths, axis=1)
         dt = tree.T / tree.grid_size
         assert np.allclose(incs.var(axis=0), dt, rtol=0.1)
@@ -94,7 +103,7 @@ class TestBridgeOffPowerOfTwoGrid:
     def test_variance_and_uncorrelated_increments(self):
         tree = self.tree()
         n, G = 20000, tree.grid_size
-        paths = brownian_path_batch(
+        paths = whole_paths(
             tree, base_keys(tree.master_seed, np.arange(1, n + 1)))[:, :, 0]
         k = np.arange(1, G + 1)
         ratio = paths[:, 1:].var(axis=0) / (k * tree.T / G)
@@ -107,7 +116,7 @@ class TestBridgeOffPowerOfTwoGrid:
     def test_point_query_matches_whole_path_bitwise(self):
         tree = self.tree(d=2)
         keys = base_keys(tree.master_seed, np.arange(1, 51))
-        whole = brownian_path_batch(tree, keys)
+        whole = whole_paths(tree, keys)
         assert whole.shape == (50, tree.grid_size + 1, 2)
         idx = np.random.default_rng(0).integers(0, tree.grid_size + 1, 50)
         rows = np.arange(50)
@@ -144,7 +153,7 @@ class TestCoarseQueries:
     def test_point_queries_match_whole_path_bitwise(self, m, levels):
         tree = make_tree(seed=41, d=2, levels=levels, m=m)
         keys = base_keys(tree.master_seed, np.arange(1, 201))
-        whole = brownian_path_batch(tree, keys)
+        whole = whole_paths(tree, keys)
         rows, rng = np.arange(len(keys)), np.random.default_rng(m)
         for level in range(levels + 1):
             step = tree.grid_size // m ** level
@@ -278,11 +287,11 @@ class TestNoiseTreeSize:
 class TestNoiseTreeValidation:
     @pytest.mark.parametrize("field, value", [
         ("d", 1.5), ("m", 2.5), ("grid_levels", 2.0), ("T", np.inf),
-        ("T", np.nan)])
+        ("T", np.nan), ("d", 0), ("m", 0), ("grid_levels", -1)])
     def test_bad_field_rejected(self, field, value):
         kwargs = dict(master_seed=0, T=1.0, d=1, grid_levels=2, m=2)
         kwargs[field] = value
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
             NoiseTree(**kwargs)
 
     def test_numpy_integers_accepted(self):

@@ -1,11 +1,14 @@
 import math
+import sys
 
 import pytest
 
 from picardnet.selection import (_log_C_delta_term, _log_level_error,
-                                 compute_C_delta, log_C_delta,
-                                 log_param_bound, param_bound, select_N,
+                                 log_C_delta, log_param_bound, select_N,
                                  select_epsilon)
+
+# The log of the largest double: a log above it is a value that overflows.
+LOG_MAX = math.log(sys.float_info.max)
 
 
 class TestSelectEpsilon:
@@ -61,7 +64,7 @@ class TestCDelta:
         log_val = log_C_delta(0.5, 1.0, 0.1)
         assert math.isfinite(log_val)
         # the plain value overflows doubles for these constants
-        assert compute_C_delta(0.5, 1.0, 0.1) == math.inf
+        assert log_val > LOG_MAX
 
     def test_matches_integer_scan_near_peak(self):
         # For these constants the term peaks near n = 9,833,256.
@@ -75,9 +78,10 @@ class TestCDelta:
             log_C_delta(0.01, 1.0, 0.1)
 
     def test_small_horizon_modest_constants(self):
-        # with a tiny horizon the supremum is attained early and is finite
-        val = compute_C_delta(0.9, 1.0, 0.001)
-        assert math.isfinite(val) or val == math.inf
+        # with a tiny horizon the log is finite, and the plain value still
+        # overflows doubles
+        log_val = log_C_delta(0.9, 1.0, 0.001)
+        assert LOG_MAX < log_val < math.inf
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
@@ -103,5 +107,27 @@ class TestParamBound:
         assert log_param_bound(2, 0.125, 0.5, 1.0, 1, 0.1) > base
         assert log_param_bound(3, 0.25, 0.5, 1.0, 1, 0.1) > base
 
-    def test_plain_value_overflow_reported_as_inf(self):
-        assert param_bound(1, 0.5, 0.5, 1.0, 1, 0.1) == math.inf
+    def test_plain_value_overflows_doubles(self):
+        assert log_param_bound(1, 0.5, 0.5, 1.0, 1, 0.1) > LOG_MAX
+
+
+# One row per rejected input; each names its argument.
+@pytest.mark.parametrize("select, kwargs, name", [
+    (select_epsilon, dict(d=0), "d"),
+    (select_epsilon, dict(d=1.5), "d"),
+    (select_epsilon, dict(epsilon=0.0), "epsilon"),
+    (select_N, dict(epsilon=0.0), "epsilon"),
+    (select_N, dict(epsilon=1.0), "epsilon"),
+    (select_N, dict(d=0), "d"),
+    (log_param_bound, dict(d=0), "d"),
+    (log_param_bound, dict(epsilon=0.0), "epsilon"),
+    (log_param_bound, dict(epsilon=float("nan")), "epsilon"),
+], ids=["eps-d0", "eps-d1.5", "eps-eps0", "N-eps0", "N-eps1", "N-d0",
+        "bound-d0", "bound-eps0", "bound-eps-nan"])
+def test_bad_selection_input_rejected(select, kwargs, name):
+    args = dict(d=1, epsilon=0.5, c=1.0, r=1, T=0.1)
+    if select is log_param_bound:
+        args["delta"] = 0.5
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        select(**args)
