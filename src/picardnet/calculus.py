@@ -31,7 +31,7 @@ from .nets import DimVector, NeuralNetwork, _check_count, dims
 def dim_compose(alpha: DimVector, beta: DimVector) -> DimVector:
     """Width vector of a composition: beta's entries, the fused interface
     entry ``beta[-1] + alpha[0]``, then alpha's remaining entries."""
-    return DimVector(tuple(beta)[:-1] + (beta[-1] + alpha[0],) + tuple(alpha)[1:])
+    return DimVector(beta[:-1] + (beta[-1] + alpha[0],) + alpha[1:])
 
 
 def dim_sum(alpha: DimVector, beta: DimVector) -> DimVector:
@@ -40,7 +40,7 @@ def dim_sum(alpha: DimVector, beta: DimVector) -> DimVector:
         raise ValueError("dim_sum needs equal lengths")
     if alpha[0] != beta[0] or alpha[-1] != beta[-1]:
         raise ValueError("dim_sum needs matching endpoint widths")
-    mid = tuple(a + b for a, b in zip(tuple(alpha)[1:-1], tuple(beta)[1:-1]))
+    mid = tuple(a + b for a, b in zip(alpha[1:-1], beta[1:-1]))
     return DimVector((alpha[0],) + mid + (beta[-1],))
 
 
@@ -50,7 +50,7 @@ def dim_merge(alpha: DimVector, beta: DimVector) -> DimVector:
         raise ValueError("dim_merge needs equal lengths")
     if alpha[0] != beta[0]:
         raise ValueError("dim_merge needs matching input widths")
-    rest = tuple(a + b for a, b in zip(tuple(alpha)[1:], tuple(beta)[1:]))
+    rest = tuple(a + b for a, b in zip(alpha[1:], beta[1:]))
     return DimVector((alpha[0],) + rest)
 
 
@@ -84,6 +84,27 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
+
+
+def _side_by_side(name: str, nets: Sequence[NeuralNetwork],
+                  output_layer: bool = True) -> list:
+    """The layers of ``nets`` side by side over their common input: first
+    layers stacked, later layers block-diagonal, biases concatenated.  With
+    ``output_layer=False`` the last layer is left out."""
+    if len(nets) == 0:
+        raise ValueError(f"{name} of an empty sequence")
+    depth, p = len(nets[0].layers), nets[0].input_width
+    if any(len(n.layers) != depth or n.input_width != p for n in nets):
+        raise ValueError(f"{name} needs same depth and input width")
+    return [((np.vstack if i == 0 else _block_diag)([n.layers[i][0] for n in nets]),
+             np.concatenate([n.layers[i][1] for n in nets]))
+            for i in range(depth if output_layer else depth - 1)]
+
+
+def _split(W: np.ndarray, B: np.ndarray) -> tuple:
+    """The layer (W; -W), (B; -B): its ReLU outputs (relu(u), relu(-u))
+    carry u = W x + B."""
+    return np.vstack([W, -W]), np.concatenate([B, -B])
 
 
 def _unsplit_tail(q: int, c: np.ndarray, hidden_layers: int) -> list:
@@ -139,13 +160,9 @@ def compose(f_net: NeuralNetwork, g_net: NeuralNetwork) -> NeuralNetwork:
     if f_net.input_width != d2:
         raise ValueError(
             f"compose: f input width {f_net.input_width} != g output width {d2}")
-    Wg, Bg = g_net.layers[-1]
-    bridge_W = np.vstack([Wg, -Wg])
-    bridge_B = np.concatenate([Bg, -Bg])
     Wf, Bf = f_net.layers[0]
-    head_W = np.hstack([Wf, -Wf])
     layers = (g_net.layers[:-1]
-              + ((bridge_W, bridge_B), (head_W, Bf))
+              + (_split(*g_net.layers[-1]), (np.hstack([Wf, -Wf]), Bf))
               + f_net.layers[1:])
     return NeuralNetwork(_readonly(layers))
 
@@ -158,21 +175,11 @@ def scaled_sum(nets: Sequence[NeuralNetwork],
     and the coefficients are folded into the concatenated output layer.
     Width law: the ``dim_sum`` fold of the inputs' width vectors.
     """
-    if len(nets) == 0:
-        raise ValueError("scaled_sum of an empty sequence")
     if len(nets) != len(coeffs):
-        raise ValueError("one coefficient per network")
-    depth = len(nets[0].layers)
-    p, q = nets[0].input_width, nets[0].output_width
-    for net in nets:
-        if len(net.layers) != depth or net.input_width != p or net.output_width != q:
-            raise ValueError("scaled_sum needs same depth and end widths")
-    layers = []
-    layers.append((np.vstack([n.layers[0][0] for n in nets]),
-                   np.concatenate([n.layers[0][1] for n in nets])))
-    for i in range(1, depth - 1):
-        layers.append((_block_diag([n.layers[i][0] for n in nets]),
-                       np.concatenate([n.layers[i][1] for n in nets])))
+        raise ValueError("scaled_sum needs one coefficient per network")
+    if len({n.output_width for n in nets}) > 1:
+        raise ValueError("scaled_sum needs same output width")
+    layers = _side_by_side("scaled_sum", nets, output_layer=False)
     layers.append((np.hstack([h * n.layers[-1][0] for h, n in zip(coeffs, nets)]),
                    sum(h * n.layers[-1][1] for h, n in zip(coeffs, nets))))
     return NeuralNetwork(_readonly(layers))
@@ -183,19 +190,7 @@ def merge(nets: Sequence[NeuralNetwork]) -> NeuralNetwork:
 
     Width law: the ``dim_merge`` fold of the inputs' width vectors.
     """
-    if len(nets) == 0:
-        raise ValueError("merge of an empty sequence")
-    depth = len(nets[0].layers)
-    p = nets[0].input_width
-    for net in nets:
-        if len(net.layers) != depth or net.input_width != p:
-            raise ValueError("merge needs same depth and input width")
-    layers = [(np.vstack([n.layers[0][0] for n in nets]),
-               np.concatenate([n.layers[0][1] for n in nets]))]
-    for i in range(1, depth):
-        layers.append((_block_diag([n.layers[i][0] for n in nets]),
-                       np.concatenate([n.layers[i][1] for n in nets])))
-    return NeuralNetwork(_readonly(layers))
+    return NeuralNetwork(_readonly(_side_by_side("merge", nets)))
 
 
 def affine_wrap(net: NeuralNetwork, lam: float,
@@ -221,7 +216,5 @@ def extend_depth(net: NeuralNetwork, extra_hidden: int) -> NeuralNetwork:
     if extra_hidden == 0:
         return NeuralNetwork(net.layers)
     q = net.output_width
-    WL, BL = net.layers[-1]
-    layers = [(np.vstack([WL, -WL]), np.concatenate([BL, -BL]))]
-    layers += _unsplit_tail(q, np.zeros(q), extra_hidden)
+    layers = [_split(*net.layers[-1])] + _unsplit_tail(q, np.zeros(q), extra_hidden)
     return NeuralNetwork(net.layers[:-1] + _readonly(layers))

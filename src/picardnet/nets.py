@@ -27,31 +27,24 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-@dataclass(frozen=True)
-class DimVector:
-    """Layer-width vector (k_0, k_1, ..., k_{H+1}), length >= 3."""
+class DimVector(tuple):
+    """Layer-width vector (k_0, k_1, ..., k_{H+1}), length >= 3: a tuple
+    whose entries are checked at construction."""
 
-    widths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.widths) < 3:
-            raise ValueError(f"need at least 3 widths, got {self.widths}")
-        if any(w < 1 for w in self.widths):
-            raise ValueError(f"widths must be positive, got {self.widths}")
-
-    def __len__(self) -> int:
-        return len(self.widths)
-
-    def __getitem__(self, i):
-        return self.widths[i]
-
-    def __iter__(self):
-        return iter(self.widths)
+    def __new__(cls, widths):
+        self = super().__new__(cls, widths)
+        if len(self) < 3:
+            raise ValueError(f"need at least 3 widths, got {self}")
+        if any(w < 1 for w in self):
+            raise ValueError(f"widths must be positive, got {self}")
+        return self
 
 
 def dim_supnorm(v: DimVector) -> int:
     """Largest entry of a width vector."""
-    return max(v.widths)
+    return max(v)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -102,7 +95,7 @@ def dims(net: NeuralNetwork) -> DimVector:
     """Width vector (k_0, ..., k_{H+1}) read off the layer shapes."""
     widths = [net.input_width]
     widths.extend(W.shape[0] for W, _ in net.layers)
-    return DimVector(tuple(widths))
+    return DimVector(widths)
 
 
 def param_count(net: NeuralNetwork) -> int:

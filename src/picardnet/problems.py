@@ -37,7 +37,7 @@ class TestProblem:
             raise ValueError(f"T must be finite and > 0, got {self.T!r}")
         if not 1 <= self.c < np.inf:
             raise ValueError(f"c must lie in [1, inf), got {self.c!r}")
-        _check_count("r", self.r, 0)
+        _check_count("r", self.r, 1)
 
 
 def linear_problem(d: int, a: float = 0.0, b: float = -0.5, T: float = 1.0,

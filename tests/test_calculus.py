@@ -233,6 +233,28 @@ class TestMerge:
                                            atol=1e-9)
 
 
+_SHAPES = [(2, 3, 1), (2, 3, 3, 1), (3, 3, 1), (2, 3, 2)]
+_NETS = {w: random_net(np.random.default_rng(12), w) for w in _SHAPES}
+
+
+@pytest.mark.parametrize("name, widths, coeffs, reason", [
+    ("merge", [], None, "of an empty sequence"),
+    ("merge", [(2, 3, 1), (2, 3, 3, 1)], None, "needs same depth"),
+    ("merge", [(2, 3, 1), (3, 3, 1)], None, "needs same depth and input width"),
+    ("scaled_sum", [], [], "of an empty sequence"),
+    ("scaled_sum", [(2, 3, 1), (2, 3, 3, 1)], [1.0, 1.0], "needs same depth"),
+    ("scaled_sum", [(2, 3, 1), (3, 3, 1)], [1.0, 1.0],
+     "needs same depth and input width"),
+    ("scaled_sum", [(2, 3, 1), (2, 3, 2)], [1.0, 1.0], "needs same output width"),
+    ("scaled_sum", [(2, 3, 1), (2, 3, 1)], [1.0], "needs one coefficient"),
+], ids=["merge-empty", "merge-depth", "merge-input", "sum-empty", "sum-depth",
+        "sum-input", "sum-output", "sum-coeffs"])
+def test_side_by_side_rejections(name, widths, coeffs, reason):
+    nets = [_NETS[w] for w in widths]
+    with pytest.raises(ValueError, match=f"^{name} {reason}"):
+        merge(nets) if coeffs is None else scaled_sum(nets, coeffs)
+
+
 class TestAffineWrap:
     def test_identity_wrap(self):
         rng = np.random.default_rng(12)

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,12 @@ def test_non_finite_or_nonpositive_horizon_rejected(T):
     with pytest.raises(ValueError, match="T must be finite"):
         problems.TestProblem(d=1, T=T, c=base.c, r=base.r,
                              mu_net=base.mu_net, f_net=base.f_net)
+
+
+def test_zero_moment_exponent_rejected():
+    # the moment bound takes an L^{pr} norm, which r = 0 would divide by
+    with pytest.raises(ValueError, match="^r must be an integer >= 1"):
+        dataclasses.replace(problems.linear_problem(1), r=0)
 
 
 def pinned_networks() -> str:

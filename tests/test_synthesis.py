@@ -1,4 +1,6 @@
+import hashlib
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,3 +188,31 @@ def test_probe_points_deterministic():
     assert a.shape == (128, 3)
     np.testing.assert_array_equal(a, b)
     assert np.all((a >= 0) & (a < 1))
+
+
+def pinned_synthesized() -> str:
+    """param_count and a sha256 of the layers' bytes (W then B per layer,
+    float64, C order) of a level-n and a K=2 Monte Carlo network."""
+    lines = []
+    for d in (1, 2):
+        prob = linear_problem(d, a=0.1, b=-0.4)
+        for n in (1, 2, 3):
+            tree = NoiseTree(master_seed=5, T=prob.T, d=d, grid_levels=n, m=n)
+            reps = [("mlp theta=(0,) t=0.75",
+                     synthesize_mlp_network(prob, tree, (0,), n, n, 0.75)),
+                    ("mc K=2", synthesize_mc_network(prob, tree, 2, n, n))]
+            for name, rep in reps:
+                digest = hashlib.sha256()
+                for W, B in rep.network.layers:
+                    digest.update(W.tobytes(order="C"))
+                    digest.update(B.tobytes(order="C"))
+                lines.append(f"linear d={d} n=m={n} master_seed=5 {name} "
+                             f"{rep.param_count} {digest.hexdigest()}")
+    return "\n".join(lines) + "\n"
+
+
+def test_synthesized_networks_keep_their_bytes():
+    # tests/data/synthesized.txt was written before merge and scaled_sum
+    # shared their side-by-side layout code.
+    golden = Path(__file__).parent / "data" / "synthesized.txt"
+    assert pinned_synthesized() == golden.read_text()
