@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 from .nets import _check_count
 from .problems import linear_problem
 from .selection import log_param_bound, select_N
+from .synthesis import PROBE_MAX_DIM
 
 
 @dataclass
@@ -54,6 +55,8 @@ class ExperimentConfig:
             raise ValueError(f"level_cap must be <= 3, got {self.level_cap}")
         for d in self.dims:  # the scaling suite's selection, before any suite
             _check_count("dims", d, 1)
+            if d > PROBE_MAX_DIM:  # the Sobol probe table's last dimension
+                raise ValueError(f"dims must be <= {PROBE_MAX_DIM}, got {d}")
             prob = linear_problem(d, T=self.horizon)
             for eps in self.epsilons:
                 try:

@@ -23,7 +23,8 @@ import numpy as np
 from .calculus import (affine_wrap, compose, extend_depth, identity_network,
                        merge, scaled_sum, zero_network)
 from .estimator import _check_args, floor_to_grid
-from .nets import NeuralNetwork, dim_supnorm, dims, param_count, realize
+from .nets import (NeuralNetwork, _check_count, dim_supnorm, dims,
+                   param_count, realize)
 from .noise import NoiseTree, ThetaIndex, brownian_at, uniform_time
 from .problems import TestProblem
 from .selection import log_param_bound, select_N, select_epsilon
@@ -114,13 +115,49 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
                    K * mc_width_constant(problem) * (5 * m) ** n)
 
 
-def probe_points(d: int, count: int = 1024) -> np.ndarray:
-    """Deterministic low-discrepancy point set in [0, 1]^d."""
-    from scipy.stats import qmc  # slow to import, and needed only here
+# Primitive polynomials (both end bits kept) and initial direction numbers
+# m_1..m_s of Sobol dimensions 1..31, from Joe and Kuo (2008); dimension 0
+# is van der Corput.  Later m_j follow the polynomial's recurrence m_j =
+# 2^s m_{j-s} ^ m_{j-s} ^ (xor of 2^k m_{j-k} over its inner bits a_k = 1).
+_SOBOL = ((3, 1), (7, 1, 3), (11, 1, 3, 1), (13, 1, 1, 1), (19, 1, 1, 3, 3),
+    (25, 1, 3, 5, 13), (37, 1, 1, 5, 5, 17), (41, 1, 1, 5, 5, 5),
+    (47, 1, 1, 7, 11, 19), (55, 1, 1, 5, 1, 1), (59, 1, 1, 1, 3, 11),
+    (61, 1, 3, 5, 5, 31), (67, 1, 3, 3, 9, 7, 49), (91, 1, 1, 1, 15, 21, 21),
+    (97, 1, 3, 1, 13, 27, 49), (103, 1, 1, 1, 15, 7, 5),
+    (109, 1, 3, 1, 15, 13, 25), (115, 1, 1, 5, 5, 19, 61),
+    (131, 1, 3, 7, 11, 23, 15, 103), (137, 1, 3, 7, 13, 13, 15, 69),
+    (143, 1, 1, 3, 13, 7, 35, 63), (145, 1, 3, 5, 9, 1, 25, 53),
+    (157, 1, 3, 1, 13, 9, 35, 107), (167, 1, 3, 1, 5, 27, 61, 31),
+    (171, 1, 1, 5, 11, 19, 41, 61), (185, 1, 3, 5, 3, 3, 13, 69),
+    (191, 1, 1, 7, 13, 1, 19, 1), (193, 1, 3, 7, 5, 13, 19, 59),
+    (203, 1, 1, 3, 9, 25, 29, 41), (211, 1, 3, 5, 13, 23, 1, 55),
+    (213, 1, 3, 7, 3, 13, 59, 17))
+PROBE_MAX_DIM, _BITS = len(_SOBOL) + 1, 30
 
-    sampler = qmc.Sobol(d=d, scramble=False)
-    exponent = max(1, math.ceil(math.log2(count)))
-    return sampler.random_base2(exponent)[:count]
+
+def probe_points(d: int, count: int = 1024) -> np.ndarray:
+    """The first count points of the unscrambled 30-bit Sobol sequence in
+    [0, 1)^d, in Gray-code order (scipy's qmc.Sobol points); d <= 32."""
+    _check_count("d", d, 1)
+    _check_count("count", count, 1)
+    if d > PROBE_MAX_DIM:
+        raise ValueError(f"d must be <= {PROBE_MAX_DIM}, got {d}")
+    v = [[1] * _BITS]
+    for poly, *row in _SOBOL[:d - 1]:
+        s = len(row)
+        for j in range(s, _BITS):
+            new = row[j - s] ^ (row[j - s] << s)
+            for k in range(1, s):
+                if poly >> (s - k) & 1:
+                    new ^= row[j - k] << k
+            row.append(new)
+        v.append(row)
+    v = np.array(v, dtype=np.int64) << np.arange(_BITS - 1, -1, -1)
+    k = np.arange(count)
+    gray, x = k ^ (k >> 1), np.zeros((count, d), dtype=np.int64)
+    for j in range(int(count - 1).bit_length()):
+        x ^= (gray >> j & 1)[:, None] * v[:, j]
+    return x * 2.0 ** -_BITS
 
 
 @dataclass

@@ -95,6 +95,19 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith(f"error: {key}")
         assert not list(tmp_path.glob("*.csv"))
 
+    # The Sobol probe table ends at d = 32, so a larger d must fail before
+    # any suite has written its CSV.
+    @pytest.mark.parametrize("dims", ["33", "1, 40"])
+    def test_dims_above_probe_table_rejected(self, dims, tmp_path, capsys):
+        with pytest.raises(ValueError, match="^dims must be <= 32, got "):
+            parse_config(f"dims = {dims}\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"dims = {dims}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: dims must be <= 32")
+        assert not list(tmp_path.glob("*.csv"))
+        ExperimentConfig(dims=[32]).validate()
+
 
 class TestCli:
     def write_config(self, tmp_path, text=SMALL):
@@ -175,16 +188,25 @@ def test_suite_reproduces_golden_bytes(tmp_path, suite):
     assert (tmp_path / f"{suite}.csv").read_bytes() == golden.read_bytes()
 
 
-def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    # Computing the parameter bound must not load scipy.optimize either.
+def test_import_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
+    # Neither importing picardnet, nor computing the parameter bound, nor a
+    # whole scaling-suite run (Sobol probe points included) may load
+    # scipy.stats or scipy.optimize.
     src = os.path.dirname(os.path.dirname(picardnet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dims = 1, 2\nepsilons = 0.5\npoints = 64\n"
+                   "seed_budget = 2\n")
     code = ("import sys, picardnet, picardnet.cli; "
             "picardnet.log_param_bound(1, 0.5, 0.5, 1.0, 1, 0.1); "
+            "assert picardnet.cli.main(['--config', sys.argv[1], '--suite', "
+            "'scaling', '--out', sys.argv[2]]) == 0; "
             "print([m for m in ('scipy.stats', 'scipy.optimize') "
             "if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, str(cfg),
+                          str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["PASS", "[]"]
+    assert (tmp_path / "scaling.csv").exists()

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from functools import reduce
 from pathlib import Path
 
@@ -188,6 +189,32 @@ def test_probe_points_deterministic():
     assert a.shape == (128, 3)
     np.testing.assert_array_equal(a, b)
     assert np.all((a >= 0) & (a < 1))
+
+
+# Oracle: scipy's unscrambled Sobol sampler, imported by this test only.
+# random_base2 draws a power of two of points, of which the first count
+# must equal probe_points byte for byte.
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 128, 255, 256, 1000, 1024,
+                                   1500])
+@pytest.mark.parametrize("d", range(1, 33))
+def test_probe_points_match_scipy_sobol_bytes(d, count):
+    from scipy.stats import qmc
+
+    exponent = max(1, math.ceil(math.log2(count)))
+    want = qmc.Sobol(d, scramble=False).random_base2(exponent)[:count]
+    got = probe_points(d, count)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d, count, message", [
+    (0, 4, "d must be an integer >= 1"), (2.0, 4, "d must be an integer"),
+    (2, 0, "count must be an integer >= 1"),
+    (2, -3, "count must be an integer >= 1"), (2, 1.5, "count must be"),
+    (33, 4, "d must be <= 32, got 33")])
+def test_probe_points_reject_bad_input(d, count, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        probe_points(d, count)
 
 
 def pinned_synthesized() -> str:
