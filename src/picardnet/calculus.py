@@ -214,7 +214,7 @@ def extend_depth(net: NeuralNetwork, extra_hidden: int) -> NeuralNetwork:
     network passes through and recombines."""
     _check_count("extra_hidden", extra_hidden, 0)
     if extra_hidden == 0:
-        return NeuralNetwork(net.layers)
+        return net
     q = net.output_width
     layers = [_split(*net.layers[-1])] + _unsplit_tail(q, np.zeros(q), extra_hidden)
     return NeuralNetwork(net.layers[:-1] + _readonly(layers))

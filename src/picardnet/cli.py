@@ -28,6 +28,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg.seed = args.seed
+            cfg.validate()
         out_dir = args.out if args.out is not None else cfg.out
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

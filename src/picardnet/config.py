@@ -47,10 +47,12 @@ class ExperimentConfig:
         if not 0 < self.horizon < float("inf"):
             raise ValueError(f"horizon must lie in (0, inf): {self.horizon}")
         for key, low in (("mc_samples", 1), ("particles", 2), ("level_cap", 0),
-                         ("points", 1), ("euler_steps", 1),
+                         ("points", 1), ("euler_steps", 1), ("seed", 0),
                          ("convergence_seeds", 1), ("partner_count", 1),
                          ("seed_budget", 1)):
             _check_count(key, getattr(self, key), low)
+        if self.seed >= 2 ** 63:  # the suites add offsets to it for each tree
+            raise ValueError(f"seed must be < 2**63, got {self.seed}")
         if self.level_cap > 3:  # a level-4 network holds ~7e12 parameters
             raise ValueError(f"level_cap must be <= 3, got {self.level_cap}")
         for d in self.dims:  # the scaling suite's selection, before any suite
@@ -88,11 +90,17 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in known:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         default = getattr(defaults, key)
-        if isinstance(default, list):
-            kind = type(default[0])
-            setattr(cfg, key, [kind(v) for v in value.split(",") if v.strip()])
-        else:
-            setattr(cfg, key, type(default)(value))
+        many = isinstance(default, list)
+        kind = type(default[0] if many else default)
+        vals = [v.strip() for v in value.split(",") if v.strip()] if many else [value]
+        for i, v in enumerate(vals):
+            try:
+                vals[i] = kind(v)
+            except ValueError:
+                a = "an" if kind is int else "a"
+                raise ValueError(f"line {lineno}: {key} = {v!r} is not {a} "
+                                 f"{kind.__name__}") from None
+        setattr(cfg, key, vals if many else vals[0])
     return cfg.validate()
 
 

@@ -7,6 +7,8 @@ noise indices.  Level 0 is zero; level n adds the Brownian term, t*mu(0,0),
 and telescoping corrections between consecutive lower levels evaluated at
 resampled times.  The lower term of a level-1 correction is thus mu(0,0),
 which both implementations reuse rather than evaluate the drift at zeros.
+A level-n node reads W at the level-n grid floor of its time, and only
+``_grid_index`` maps that time to a finest-grid index.
 
 Two implementations share the same noise contract: ``mlp_estimate`` is the
 direct scalar recursion, and ``mlp_estimate_batch`` runs many top-level
@@ -34,38 +36,23 @@ from .problems import TestProblem
 _GROUP_ROWS = 2048
 
 
-def floor_to_grid(t: float, m: int, n: int, T: float) -> float:
-    """Largest grid point k*T/m^n below t (clamped to [0, T]).
-
-    The small slack absorbs times that are grid points up to rounding, so a
-    nominal grid time is never floored to the previous one.
-    """
-    _check_scalars(n, m, t, T)
-    if m > 1 and (n > 53 or m ** n > 2 ** 53):
-        raise ValueError(f"grid of m**n = {m}**{n} steps exceeds 2**53")
+def _grid_index(tree: NoiseTree, t, m: int, n: int):
+    """Finest-grid index of the level-n grid point k*T/m^n at or below t (a
+    time or an array; clamped to T), with 1e-9 slack for rounding."""
     G = m ** n
-    return int(_grid_steps(t, G, T)) * T / G
-
-
-def _grid_steps(t, G: int, T: float):
-    """Steps k of the grid point k*T/G that floor_to_grid picks for t."""
-    return np.minimum(np.floor(t * G / T + 1e-9).astype(np.int64), G)
-
-
-def _check_scalars(n, m, t, T, K=1):
-    """Raise a ValueError naming the first of n, m, K and t out of range."""
-    for name, v, low in (("n", n, 0), ("m", m, 1), ("K", K, 1)):
-        _check_count(name, v, low)
-    if not 0 <= t <= T * (1 + 1e-12):
-        raise ValueError(f"time t = {t!r} outside [0, {T}]")
+    k = np.minimum(np.floor(t * G / tree.T + 1e-9).astype(np.int64), G)
+    return k * (tree.grid_size // G)
 
 
 def _check_args(problem: TestProblem, tree: NoiseTree, n, m, t, x=None,
                 bases=(), K=1):
     """Raise a ValueError naming the first argument outside the recursion's
-    contract (every queried time on the tree's grid); return x as float64."""
-    _check_scalars(n, m, t, tree.T, K)
-    if n > tree.grid_levels or tree.grid_size % m ** n:
+    contract (the level-n grid a subgrid of the tree's); return x as float64."""
+    for name, v, low in (("n", n, 0), ("m", m, 1), ("K", K, 1)):
+        _check_count(name, v, low)
+    if not 0 <= t <= tree.T * (1 + 1e-12):
+        raise ValueError(f"time t = {t!r} outside [0, {tree.T}]")
+    if n > tree.grid_levels or tree.grid_size % m ** min(n, 54):  # grid_size <= 2**53
         raise ValueError(f"level n = {n} with m = {m} is off the grid of "
                          f"{tree.m}**{tree.grid_levels} steps")
     if tree.d != problem.d:
@@ -93,7 +80,7 @@ def _mlp_scalar(problem: TestProblem, tree: NoiseTree, theta: tuple, n: int,
     """The recursion of ``mlp_estimate`` on checked arguments."""
     if n == 0:
         return np.zeros(problem.d)
-    val = x + brownian_at(tree, theta, floor_to_grid(t, m, n, tree.T)) + t * mu0
+    val = x + brownian_at(tree, theta, _grid_index(tree, t, m, n)) + t * mu0
     for ell in range(1, n):
         M = m ** (n - ell)
         for k in range(1, M + 1):
@@ -125,9 +112,8 @@ def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
         return np.concatenate([
             _mlp_batch(problem, tree, keys[b], n, m, t[b], x, mu0)
             for b in _blocks(R, _GROUP_ROWS)])
-    G = m ** n
-    fine = _grid_steps(t, G, tree.T) * (tree.grid_size // G)
-    val = x + brownian_path_batch(tree, keys, fine) + t[:, None] * mu0
+    val = (x + brownian_path_batch(tree, keys, _grid_index(tree, t, m, n))
+           + t[:, None] * mu0)
     group = _GROUP_ROWS // R
     for ell in range(1, n):
         M = m ** (n - ell)

@@ -18,7 +18,7 @@ exactly, so index-0 rows never enter a block: they are exact zeros and
 draw no normal.  A coarse index is a multiple of a power of two, where the
 tents of all finer levels are zero, so a block draws normals only for the
 nodes live at some index in it and sums exact zeros for the rest.
-Python-int scalar and uint64 batch paths give the same values.
+The tuple API is ``theta_key`` plus the one-key cases of the batch kernels.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _to_unit(v):
-    """Map 64-bit words (a Python int or a uint64 array) to (0, 1)."""
+def _to_unit(v: np.ndarray) -> np.ndarray:
+    """Map uint64 words to (0, 1)."""
     return ((v >> 11) + 0.5) * 2.0 ** -53
 
 
@@ -120,6 +120,9 @@ class NoiseTree:
     _bridge: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        s = self.master_seed
+        if not isinstance(s, (int, np.integer)) or not 0 <= s <= _MASK:
+            raise ValueError(f"master_seed must be an integer in [0, 2**64), got {s!r}")
         for name, low in (("d", 1), ("grid_levels", 0), ("m", 1)):
             _check_count(name, getattr(self, name), low)
         if not 0 < self.T < np.inf:
@@ -143,9 +146,9 @@ class NoiseTree:
 
 
 def uniform_time(tree: NoiseTree, theta: ThetaIndex) -> float:
-    """The uniform variate on (0, 1) attached to one index tuple."""
-    h = theta_key(tree.master_seed, tuple(theta))
-    return _to_unit(_mix(h + _PHI))
+    """The uniform on (0, 1) of one index tuple, by ``uniform_time_batch``."""
+    key = np.array([theta_key(tree.master_seed, tuple(theta))], np.uint64)
+    return float(uniform_time_batch(key)[0])
 
 
 def uniform_time_batch(keys: np.ndarray) -> np.ndarray:
@@ -208,17 +211,7 @@ def _bridge_sum(tree: NoiseTree, keys: np.ndarray,
     return terms.sum(axis=-1)
 
 
-def grid_index(tree: NoiseTree, t: float) -> int:
-    """Index of a finest-grid time, rejecting off-grid queries."""
-    G = tree.grid_size
-    pos = t / tree.T * G
-    k = int(round(pos))
-    if k < 0 or k > G or abs(pos - k) > 1e-6:
-        raise ValueError(f"time {t} is not on the grid with step T/{G}")
-    return k
-
-
-def brownian_at(tree: NoiseTree, theta: ThetaIndex, t: float) -> np.ndarray:
-    """Brownian value W^theta(t) at a finest-grid time, shape (d,)."""
+def brownian_at(tree: NoiseTree, theta: ThetaIndex, k: int) -> np.ndarray:
+    """W^theta at finest-grid index k, shape (d,), by ``brownian_path_batch``."""
     key = np.array([theta_key(tree.master_seed, tuple(theta))], np.uint64)
-    return _bridge_sum(tree, key, np.array([grid_index(tree, t)]))[0]
+    return brownian_path_batch(tree, key, np.array([k]))[0]

@@ -22,11 +22,12 @@ import numpy as np
 
 from .calculus import (affine_wrap, compose, extend_depth, identity_network,
                        merge, scaled_sum, zero_network)
-from .estimator import _check_args, floor_to_grid
+from .estimator import _check_args, _grid_index
 from .nets import (NeuralNetwork, _check_count, dim_supnorm, dims,
                    param_count, realize)
 from .noise import NoiseTree, ThetaIndex, brownian_at, uniform_time
 from .problems import TestProblem
+# log_param_bound is bound here only for perfbench's tracer, which wraps it.
 from .selection import log_param_bound, select_N, select_epsilon
 
 
@@ -48,7 +49,7 @@ def _mlp_net(problem: TestProblem, tree: NoiseTree, theta: tuple,
     if n == 0:
         return zero_network(d, d, 3)
     H = n * len(mu_net.layers) + 1
-    const = brownian_at(tree, theta, floor_to_grid(t, m, n, tree.T)) + t * mu0
+    const = brownian_at(tree, theta, _grid_index(tree, t, m, n)) + t * mu0
     nets = [affine_wrap(identity_network(d, H), 1.0, np.zeros(d), const)]
     coeffs = [1.0]
     for ell in range(1, n):

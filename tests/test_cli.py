@@ -51,6 +51,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config("dims = \n")
 
+    @pytest.mark.parametrize("line, bad, kind", [
+        ("dims = 1.5", "1.5", "an int"), ("dims = 1, x", "x", "an int"),
+        ("seed = abc", "abc", "an int"), ("particles = 2e3", "2e3", "an int"),
+        ("seed =", "", "an int"), ("delta = half", "half", "a float"),
+        ("epsilons = 0.5, 1/4", "1/4", "a float")])
+    def test_conversion_error_names_line_and_key(self, line, bad, kind):
+        key = line.split()[0]
+        with pytest.raises(ValueError,
+                           match=f"^line 2: {key} = '{bad}' is not {kind}$"):
+            parse_config(f"# first\n{line}\n")
+
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             ExperimentConfig(delta=1.5).validate()
@@ -77,15 +88,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"^{key} must be an integer >= "):
             ExperimentConfig(**{key: value}).validate()
 
-    # Each value would fail mid-run (in ParticleConfig, TestProblem or
-    # theorem_pipeline), so validation must reject it up front.  At the
+    # Each value would fail mid-run (in ParticleConfig, TestProblem,
+    # theorem_pipeline, numpy's seeding or NoiseTree), so validation must
+    # reject it up front.  At the
     # default horizon 0.1 the scaling suite's C_delta does not exist for
     # delta = 0.1, and at horizon 10 select_N finds no level; both used to
     # surface only after the other three suites had written their CSVs.
     @pytest.mark.parametrize("key, value", [
         ("partner_count", 0), ("seed_budget", 0), ("horizon", -1.0),
         ("horizon", float("nan")), ("level_cap", 4), ("delta", 0.1),
-        ("horizon", 10.0)])
+        ("horizon", 10.0), ("seed", -1), ("seed", 2 ** 64 - 1)])
     def test_run_breaking_value_rejected(self, key, value, tmp_path, capsys):
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**{key: value}).validate()
@@ -148,6 +160,13 @@ class TestCli:
         with open(os.path.join(out2, "scaling.csv"), "rb") as fh:
             second = fh.read()
         assert first == second
+
+    # A negative seed used to pass validation and stop the run inside the
+    # equivalence suite with a traceback and no CSV.
+    def test_bad_seed_override_rejected(self, tmp_path, capsys):
+        assert main(["--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be an")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_seed_override_changes_output(self, tmp_path):
         path = self.write_config(tmp_path)

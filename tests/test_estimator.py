@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import picardnet.estimator
 import picardnet.synthesis
-from picardnet.estimator import (floor_to_grid, mlp_estimate,
+from picardnet.estimator import (_grid_index, mlp_estimate,
                                  mlp_estimate_batch, monte_carlo_payoff)
 from picardnet.nets import NeuralNetwork, realize
 from picardnet.noise import NoiseTree, brownian_at, uniform_time
@@ -21,44 +21,56 @@ def make_tree(seed=0, T=1.0, d=1, levels=2, m=2):
 
 
 class TestFloorToGrid:
+    """The one floor rule, ``_grid_index``: a time floored to its level-n
+    grid point, as an index into the finest grid."""
+
     def test_examples(self):
-        assert floor_to_grid(0.7, 2, 2, 1.0) == pytest.approx(0.5)
-        assert floor_to_grid(1.0, 3, 2, 1.0) == pytest.approx(1.0)
-        assert floor_to_grid(0.1, 3, 1, 1.0) == 0.0
+        # Floors on grids of 8 and 9 steps (T = 1), and the clamp to T of a
+        # time inside the entry check's slack on a grid of 2**50 steps.
+        assert _grid_index(make_tree(levels=3), 0.7, 2, 2) == 4
+        assert _grid_index(make_tree(levels=2, m=3), 1.0, 3, 2) == 9
+        assert _grid_index(make_tree(levels=2, m=3), 0.1, 3, 1) == 0
+        assert _grid_index(make_tree(levels=50), 1 + 1e-12, 2, 50) == 2 ** 50
 
     def test_grid_points_are_fixed(self):
-        for k in range(9):
-            t = k / 8
-            assert floor_to_grid(t, 2, 3, 1.0) == pytest.approx(t)
+        tree = make_tree(levels=3)
+        times = np.arange(9) / 8
+        np.testing.assert_array_equal(_grid_index(tree, times, 2, 3),
+                                      np.arange(9))
+        for k, t in enumerate(times):
+            assert _grid_index(tree, t, 2, 3) == k
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            floor_to_grid(-0.1, 2, 2, 1.0)
-        with pytest.raises(ValueError):
-            floor_to_grid(1.5, 2, 2, 1.0)
+        prob, tree = linear_problem(1), make_tree()
+        for t in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="time t"):
+                mlp_estimate(prob, tree, (1,), 2, 2, t, np.ones(1))
 
+    # The entry check and the tree own the rejections.
     @pytest.mark.parametrize("args, match", [
-        ((float("nan"), 2, 2, 1.0), "time t"),
-        ((0.5, 0, 2, 1.0), "m must"),
-        ((0.5, 2, -1, 1.0), "n must"),
-        ((0.5, 2, 54, 1.0), r"2\*\*54 steps exceeds 2\*\*53"),
-        ((0.5, 3, 10 ** 9, 1.0), r"3\*\*1000000000 steps"),
+        (dict(t=float("nan")), "time t"),
+        (dict(m=0), "m must"),
+        (dict(n=-1), "n must"),
+        (dict(levels=54), r"2\*\*54 exceeds 2\*\*53"),
+        (dict(n=10 ** 9, m=3), "level n = 1000000000"),
     ], ids=["t-nan", "m0", "n-1", "grid-over-2**53", "n-1e9"])
     def test_rejects_bad_arguments(self, args, match):
+        kw = dict(t=0.5, m=2, n=2, levels=2) | args
         with pytest.raises(ValueError, match=match):
-            floor_to_grid(*args)
+            mlp_estimate(linear_problem(1), make_tree(levels=kw["levels"]),
+                         (1,), kw["n"], kw["m"], kw["t"], np.ones(1))
 
 
 def transcription_oracle(problem, tree, theta, n, m, t, x):
     """Second, independent transcription of the level recursion.
 
     Kept deliberately different in style from the library version: explicit
-    floor computation, list-based accumulation, no shared helpers.
+    integer floor, list-based accumulation, no shared helpers.
     """
     if n == 0:
         return np.zeros(problem.d)
     g = m ** n
-    floored = min(int(t * g / tree.T + 1e-9), g) * tree.T / g
+    floored = min(int(t * g / tree.T + 1e-9), g) * (tree.grid_size // g)
     mu = lambda u, v: realize(problem.mu_net, np.concatenate([u, v]))
     total = (np.asarray(x, dtype=float)
              + brownian_at(tree, theta, floored)
@@ -91,7 +103,8 @@ class TestMlpEstimate:
         x = np.array([1.0, -1.0])
         t = 0.8
         mu0 = realize(prob.mu_net, np.zeros(4))
-        want = x + brownian_at(tree, (1,), floor_to_grid(t, 2, 1, 1.0)) + t * mu0
+        # t = 0.8 floors to grid point 1 of 2.
+        want = x + brownian_at(tree, (1,), 1) + t * mu0
         np.testing.assert_allclose(
             mlp_estimate(prob, tree, (1,), 1, 2, t, x), want, rtol=1e-12)
 
@@ -314,10 +327,28 @@ def test_estimates_keep_their_bits():
     assert pinned_estimates() == golden.read_text()
 
 
+# Fine grids with a non-dyadic T.  The scalar path used to floor t to a
+# float time and map it back to an index: the first case raised "not on the
+# grid" and the second read the neighbouring index, 3.4e-9 off the batch.
+@pytest.mark.parametrize("m, levels, n, t", [
+    (2, 34, 2, 0.089), (2, 53, 2, 0.08653832930594503), (3, 33, 1, 0.07)])
+def test_fine_grid_paths_agree(m, levels, n, t):
+    prob = linear_problem(1, a=0.2, b=-0.3, T=0.1)
+    tree = make_tree(seed=7, T=0.1, levels=levels, m=m)
+    x = np.array([0.4])
+    scalar = mlp_estimate(prob, tree, (3,), n, m, t, x)
+    row = mlp_estimate_batch(prob, tree, [3], n, m, t, x)[0]
+    assert scalar.tobytes() == row.tobytes()
+    rep = synthesize_mlp_network(prob, tree, (3,), n, m, t)
+    np.testing.assert_allclose(realize(rep.network, x), scalar, rtol=1e-8,
+                               atol=1e-8)
+    assert rep.depth == rep.predicted_depth
+
+
 class TestGridClosure:
     def test_all_floored_times_on_finest_grid(self):
-        # every Brownian query during the recursion hits the finest grid,
-        # otherwise brownian_at raises
+        # every Brownian query during the recursion is an integer index
+        # into the finest grid, otherwise brownian_at raises
         prob = linear_problem(1, a=0.2, b=-0.1)
         for seed in range(5):
             tree = make_tree(seed=seed, levels=3, m=3)
@@ -387,6 +418,13 @@ class TestEntryCheck:
         for name in takers or calls:
             with pytest.raises(ValueError, match=match):
                 calls[name]()
+
+    def test_huge_level_rejected_without_computing_m_to_the_n(self):
+        # An m = 1 tree admits any grid_levels; 3**n would not fit in memory.
+        tree = NoiseTree(master_seed=0, T=1.0, d=1, grid_levels=10 ** 15, m=1)
+        with pytest.raises(ValueError, match="off the grid"):
+            mlp_estimate(linear_problem(1), tree, (1,), 10 ** 12, 3, 0.5,
+                         np.ones(1))
 
     def test_tree_dimension_must_match(self):
         prob = linear_problem(2)

@@ -10,7 +10,7 @@ EXPORTS = {
     "SynthesisReport", "TestProblem", "ThetaIndex", "affine_network",
     "affine_wrap", "brownian_at", "compose", "constant_problem",
     "dim_compose", "dim_merge", "dim_sum", "dim_supnorm", "dims",
-    "extend_depth", "floor_to_grid", "identity_dims", "identity_network",
+    "extend_depth", "identity_dims", "identity_network",
     "linear_problem", "log_C_delta", "log_param_bound", "merge",
     "mlp_estimate", "mlp_estimate_batch", "monte_carlo_payoff",
     "network_from_text", "network_to_text", "param_count",

@@ -7,8 +7,8 @@ from scipy.special import ndtri
 
 import picardnet.noise
 from picardnet.noise import (NoiseTree, base_keys, brownian_at,
-                             brownian_path_batch, fold_keys, grid_index,
-                             theta_key, uniform_time, uniform_time_batch)
+                             brownian_path_batch, fold_keys, theta_key,
+                             uniform_time, uniform_time_batch)
 
 
 def make_tree(seed=0, T=1.0, d=1, levels=2, m=2):
@@ -51,23 +51,24 @@ class TestUniformTime:
 class TestBrownian:
     def test_zero_at_origin(self):
         tree = make_tree(d=3)
-        np.testing.assert_array_equal(brownian_at(tree, (1,), 0.0),
+        np.testing.assert_array_equal(brownian_at(tree, (1,), 0),
                                       np.zeros(3))
 
     def test_query_order_independent(self):
         t1 = make_tree(seed=9)
-        a_then_b = (brownian_at(t1, (1,), 0.5).copy(),
-                    brownian_at(t1, (1,), 0.25).copy())
+        a_then_b = (brownian_at(t1, (1,), 2).copy(),
+                    brownian_at(t1, (1,), 1).copy())
         t2 = make_tree(seed=9)
-        b_then_a = (brownian_at(t2, (1,), 0.25).copy(),
-                    brownian_at(t2, (1,), 0.5).copy())
+        b_then_a = (brownian_at(t2, (1,), 1).copy(),
+                    brownian_at(t2, (1,), 2).copy())
         np.testing.assert_array_equal(a_then_b[0], b_then_a[1])
         np.testing.assert_array_equal(a_then_b[1], b_then_a[0])
 
     def test_off_grid_rejected(self):
         tree = make_tree(levels=1, m=2)
-        with pytest.raises(ValueError):
-            brownian_at(tree, (1,), 0.3)
+        for k in (0.3, 1.0, -1, 3):
+            with pytest.raises(ValueError, match="idx"):
+                brownian_at(tree, (1,), k)
 
     def test_gaussian_moments(self):
         tree = make_tree(seed=77, d=2, levels=1, m=2)
@@ -135,7 +136,7 @@ class TestBridgeOffPowerOfTwoGrid:
             batch = brownian_path_batch(tree, keys, np.arange(G + 1))
             for k in range(G + 1):
                 np.testing.assert_array_equal(
-                    brownian_at(tree, (b,), k * tree.T / G), batch[k])
+                    brownian_at(tree, (b,), k), batch[k])
 
     def test_bad_indices_rejected(self):
         tree = self.tree()
@@ -287,7 +288,9 @@ class TestNoiseTreeSize:
 class TestNoiseTreeValidation:
     @pytest.mark.parametrize("field, value", [
         ("d", 1.5), ("m", 2.5), ("grid_levels", 2.0), ("T", np.inf),
-        ("T", np.nan), ("d", 0), ("m", 0), ("grid_levels", -1)])
+        ("T", np.nan), ("d", 0), ("m", 0), ("grid_levels", -1),
+        ("master_seed", -1), ("master_seed", 2 ** 64),
+        ("master_seed", -2 ** 64 + 5), ("master_seed", 5.0)])
     def test_bad_field_rejected(self, field, value):
         kwargs = dict(master_seed=0, T=1.0, d=1, grid_levels=2, m=2)
         kwargs[field] = value
@@ -303,12 +306,13 @@ class TestNoiseTreeValidation:
 class TestGridIndex:
     def test_endpoints(self):
         tree = make_tree(levels=2, m=2)
-        assert grid_index(tree, 0.0) == 0
-        assert grid_index(tree, 1.0) == 4
-        assert grid_index(tree, 0.75) == 3
+        path = whole_paths(tree, base_keys(tree.master_seed, [1]))[0]
+        for k in (0, 4, 3):
+            np.testing.assert_array_equal(brownian_at(tree, (1,), k), path[k])
+        np.testing.assert_array_equal(path[0], np.zeros(1))
 
     def test_path_caching_returns_same_array(self):
         tree = make_tree()
-        a = brownian_at(tree, (2,), 0.5)
-        b = brownian_at(tree, (2,), 0.5)
+        a = brownian_at(tree, (2,), 2)
+        b = brownian_at(tree, (2,), 2)
         np.testing.assert_array_equal(a, b)

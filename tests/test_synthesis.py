@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardnet.calculus import dim_compose, dim_merge, dim_sum, identity_dims
-from picardnet.estimator import (floor_to_grid, mlp_estimate,
-                                 monte_carlo_payoff)
+from picardnet.estimator import mlp_estimate, monte_carlo_payoff
 from picardnet.nets import DimVector, dims, param_count, realize
 from picardnet.noise import NoiseTree, brownian_at
 from picardnet.problems import constant_problem, linear_problem
@@ -41,7 +40,8 @@ class TestMlpSynthesis:
         t = 0.6
         rep = synthesize_mlp_network(prob, tree, (3,), 1, 2, t)
         mu0 = realize(prob.mu_net, np.zeros(2))
-        shift = brownian_at(tree, (3,), floor_to_grid(t, 2, 1, 1.0)) + t * mu0
+        # t = 0.6 floors to grid point 1 of 2.
+        shift = brownian_at(tree, (3,), 1) + t * mu0
         for x in (np.zeros(1), np.array([2.0]), np.array([-1.5])):
             np.testing.assert_allclose(realize(rep.network, x), x + shift,
                                        rtol=1e-12, atol=1e-12)
