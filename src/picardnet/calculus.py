@@ -86,19 +86,34 @@ def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _side_by_side(name: str, nets: Sequence[NeuralNetwork],
-                  output_layer: bool = True) -> list:
-    """The layers of ``nets`` side by side over their common input: first
-    layers stacked, later layers block-diagonal, biases concatenated.  With
-    ``output_layer=False`` the last layer is left out."""
-    if len(nets) == 0:
+def _side_by_side(name: str, layer_lists: Sequence, stacked: bool = True) -> list:
+    """Layer i of every list side by side, biases concatenated: first layers
+    stacked over a common input if ``stacked``, all others block-diagonal."""
+    if len(layer_lists) == 0:
         raise ValueError(f"{name} of an empty sequence")
-    depth, p = len(nets[0].layers), nets[0].input_width
-    if any(len(n.layers) != depth or n.input_width != p for n in nets):
+    if stacked and len({(len(ls), ls[0][0].shape[1]) for ls in layer_lists}) > 1:
         raise ValueError(f"{name} needs same depth and input width")
-    return [((np.vstack if i == 0 else _block_diag)([n.layers[i][0] for n in nets]),
-             np.concatenate([n.layers[i][1] for n in nets]))
-            for i in range(depth if output_layer else depth - 1)]
+    return [((np.vstack if i == 0 and stacked else _block_diag)(
+                [ls[i][0] for ls in layer_lists]),
+             np.concatenate([ls[i][1] for ls in layer_lists]))
+            for i in range(len(layer_lists[0]))]
+
+
+def _sums_side_by_side(sums: Sequence[tuple], stacked: bool = True) -> tuple:
+    """Scaled sums, as (layer lists, coeffs) pairs, side by side straight from
+    their summands: the layers before the output, over every summand of every
+    sum (``_side_by_side``), and each sum's coefficient-folded output layer."""
+    for lists, coeffs in sums:
+        if len(lists) != len(coeffs):
+            raise ValueError("scaled_sum needs one coefficient per network")
+        if len({ls[-1][0].shape[0] for ls in lists}) > 1:
+            raise ValueError("scaled_sum needs same output width")
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"scaled_sum coefficients must be finite, got {coeffs!r}")
+    return (_side_by_side("scaled_sum", [ls[:-1] for lists, _ in sums for ls in lists],
+                          stacked),
+            [(np.hstack([h * ls[-1][0] for h, ls in zip(cs, lists)]),
+              sum(h * ls[-1][1] for h, ls in zip(cs, lists))) for lists, cs in sums])
 
 
 def _split(W: np.ndarray, B: np.ndarray) -> tuple:
@@ -149,48 +164,48 @@ def zero_network(d_in: int, d_out: int, length: int = 3) -> NeuralNetwork:
     return NeuralNetwork(_readonly(layers))
 
 
-def compose(f_net: NeuralNetwork, g_net: NeuralNetwork) -> NeuralNetwork:
-    """Network realizing x -> f(g(x)).
-
-    g's affine output u is re-expressed through one spliced hidden layer
-    carrying (relu(u), relu(-u)); f's first weight is pre-multiplied by
-    [I | -I] to recover u.  Width law: ``dim_compose(dims(f), dims(g))``.
-    """
-    d2 = g_net.output_width
-    if f_net.input_width != d2:
-        raise ValueError(
-            f"compose: f input width {f_net.input_width} != g output width {d2}")
+def _then(f_net: NeuralNetwork, W: np.ndarray, B: np.ndarray) -> tuple:
+    """The layers of f after an affine output u = W y + B: u split into
+    (relu(u), relu(-u)), then f's first weight times [I | -I] recovers u."""
+    if f_net.input_width != W.shape[0]:
+        raise ValueError(f"compose: f input width {f_net.input_width} != "
+                         f"g output width {W.shape[0]}")
     Wf, Bf = f_net.layers[0]
-    layers = (g_net.layers[:-1]
-              + (_split(*g_net.layers[-1]), (np.hstack([Wf, -Wf]), Bf))
-              + f_net.layers[1:])
-    return NeuralNetwork(_readonly(layers))
+    return (_split(W, B), (np.hstack([Wf, -Wf]), Bf)) + f_net.layers[1:]
+
+
+def compose(f_net: NeuralNetwork, g_net: NeuralNetwork) -> NeuralNetwork:
+    """Network realizing x -> f(g(x)): g's layers, then f after g's output
+    (``_then``).  Width law: ``dim_compose(dims(f), dims(g))``."""
+    return NeuralNetwork(_readonly(g_net.layers[:-1]
+                                   + _then(f_net, *g_net.layers[-1])))
 
 
 def scaled_sum(nets: Sequence[NeuralNetwork],
                coeffs: Sequence[float]) -> NeuralNetwork:
-    """Network realizing sum_i coeffs[i] * nets[i], all same shape contract.
+    """Network realizing sum_i coeffs[i] * nets[i]: first layers stacked,
+    interior layers block-diagonal, coefficients folded into the output layer.
+    Width law: the ``dim_sum`` fold of the inputs' width vectors."""
+    layers, out = _sums_side_by_side([([n.layers for n in nets], coeffs)])
+    return NeuralNetwork(_readonly(layers + out))
 
-    First layers are stacked vertically, interior layers block-diagonally,
-    and the coefficients are folded into the concatenated output layer.
-    Width law: the ``dim_sum`` fold of the inputs' width vectors.
-    """
-    if len(nets) != len(coeffs):
-        raise ValueError("scaled_sum needs one coefficient per network")
-    if len({n.output_width for n in nets}) > 1:
-        raise ValueError("scaled_sum needs same output width")
-    layers = _side_by_side("scaled_sum", nets, output_layer=False)
-    layers.append((np.hstack([h * n.layers[-1][0] for h, n in zip(coeffs, nets)]),
-                   sum(h * n.layers[-1][1] for h, n in zip(coeffs, nets))))
-    return NeuralNetwork(_readonly(layers))
+
+def _composed_sums(f_net: NeuralNetwork, sums: Sequence[tuple],
+                   coeffs: Sequence[float]) -> NeuralNetwork:
+    """Network realizing x -> sum_i coeffs[i] f(s_i(x)) for the scaled sums
+    s_i of ``sums`` ((nets, coeffs) pairs), with the bytes of
+    ``scaled_sum([compose(f_net, scaled_sum(*s)) for s in sums], coeffs)``;
+    no s_i is built on its own, so every layer is written once."""
+    layers, outs = _sums_side_by_side([([n.layers for n in ns], cs) for ns, cs in sums])
+    tail, out = _sums_side_by_side([([_then(f_net, *o) for o in outs], coeffs)],
+                                   stacked=False)
+    return NeuralNetwork(_readonly(layers + tail + out))
 
 
 def merge(nets: Sequence[NeuralNetwork]) -> NeuralNetwork:
     """Network realizing x -> (f_1(x), ..., f_M(x)) stacked vertically.
-
-    Width law: the ``dim_merge`` fold of the inputs' width vectors.
-    """
-    return NeuralNetwork(_readonly(_side_by_side("merge", nets)))
+    Width law: the ``dim_merge`` fold of the inputs' width vectors."""
+    return NeuralNetwork(_readonly(_side_by_side("merge", [n.layers for n in nets])))
 
 
 def affine_wrap(net: NeuralNetwork, lam: float,
@@ -202,6 +217,9 @@ def affine_wrap(net: NeuralNetwork, lam: float,
         raise ValueError(f"shift b must have length {net.input_width}")
     if a.shape != (net.output_width,):
         raise ValueError(f"offset a must have length {net.output_width}")
+    for name, v in (("lam", lam), ("shift b", b), ("offset a", a)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v!r}")
     W1, B1 = net.layers[0]
     WL, BL = net.layers[-1]
     layers = ((W1, W1 @ b + B1),) + net.layers[1:-1] + ((lam * WL, lam * (BL + a)),)

@@ -17,8 +17,10 @@ import numpy as np
 
 
 def _check_count(name: str, value, low: int) -> None:
-    """Raise a ValueError naming ``name`` unless value is an integer >= low."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    """Raise a ValueError naming ``name`` unless value is an integer >= low;
+    a bool is not a count."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

@@ -5,12 +5,13 @@ start point x, exactly representable by a ReLU network: the Brownian and
 t*mu(0,0) contributions become constants baked into an affine-wrapped
 identity network, and each telescoping correction becomes the drift network
 composed with a merged pair of lower-level networks, depth-padded with
-identity layers (``extend_depth``) so that all summands can be combined by
-``scaled_sum``.
+identity layers (``extend_depth``).  The level-n network is the
+``scaled_sum`` of these summands.
 
-The same machinery stacks K payoff-composed copies into a single network
-realizing the Monte Carlo average, and a parameter-selection pipeline wires
-the pieces into an end-to-end accuracy/parameter-count experiment.
+The K-sample Monte Carlo payoff network is assembled in one pass from the K
+summand lists (``calculus._composed_sums``): no level-n network is built on
+its own, and every layer is written once.  A parameter-selection pipeline
+wires the pieces into an end-to-end accuracy/parameter-count experiment.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (affine_wrap, compose, extend_depth, identity_network,
-                       merge, scaled_sum, zero_network)
+from .calculus import (_composed_sums, affine_wrap, compose, extend_depth,
+                       identity_network, merge, scaled_sum, zero_network)
 from .estimator import _check_args, _grid_index
 from .nets import (NeuralNetwork, _check_count, dim_supnorm, dims,
                    param_count, realize)
@@ -42,12 +43,13 @@ class SynthesisReport:
 
 
 def _mlp_net(problem: TestProblem, tree: NoiseTree, theta: tuple,
-             n: int, m: int, t: float, mu0: np.ndarray) -> NeuralNetwork:
-    """The level-n network on checked arguments, mu0 = mu(0, 0).  It and
-    each of its summands have H = n * len(mu_net.layers) + 1 hidden layers."""
+             n: int, m: int, t: float, mu0: np.ndarray) -> tuple[list, list]:
+    """The summands and coefficients of the level-n network on checked
+    arguments, mu0 = mu(0, 0); the network is their ``scaled_sum``.  Every
+    summand has H = n * len(mu_net.layers) + 1 hidden layers (one at n = 0)."""
     d, mu_net = problem.d, problem.mu_net
     if n == 0:
-        return zero_network(d, d, 3)
+        return [zero_network(d, d, 3)], [1.0]
     H = n * len(mu_net.layers) + 1
     const = brownian_at(tree, theta, _grid_index(tree, t, m, n)) + t * mu0
     nets = [affine_wrap(identity_network(d, H), 1.0, np.zeros(d), const)]
@@ -58,12 +60,14 @@ def _mlp_net(problem: TestProblem, tree: NoiseTree, theta: tuple,
             child = theta + (n, k, ell)
             s = uniform_time(tree, child) * t
             for lv, h in ((ell, t / M), (ell - 1, -t / M)):
-                pair = merge([_mlp_net(problem, tree, theta, lv, m, s, mu0),
-                              _mlp_net(problem, tree, child, lv, m, s, mu0)])
+                subs = [_mlp_net(problem, tree, th, lv, m, s, mu0)
+                        for th in (theta, child)]
+                # A level-0 sum is its one summand, the zero network.
+                pair = merge([scaled_sum(*sub) if lv else sub[0][0] for sub in subs])
                 pad = H + 1 - len(mu_net.layers) - len(pair.layers)
                 nets.append(compose(mu_net, extend_depth(pair, pad)))
                 coeffs.append(h)
-    return scaled_sum(nets, coeffs)
+    return nets, coeffs
 
 
 def mlp_width_constant(problem: TestProblem) -> int:
@@ -96,7 +100,7 @@ def synthesize_mlp_network(problem: TestProblem, tree: NoiseTree,
     theta = tuple(theta)
     _check_args(problem, tree, n, m, t, bases=theta)
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    net = _mlp_net(problem, tree, theta, n, m, t, mu0)
+    net = scaled_sum(*_mlp_net(problem, tree, theta, n, m, t, mu0))
     return _report(net, n * (len(dims(problem.mu_net)) - 1) + 3,
                    mlp_width_constant(problem) * (5 * m) ** n)
 
@@ -107,10 +111,9 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
     with depth depth_f + n(depth_mu - 1) + 2 and width bound K c (5m)^n."""
     _check_args(problem, tree, n, m, tree.T, K=K)
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    parts = [compose(problem.f_net,
-                     _mlp_net(problem, tree, (i,), n, m, tree.T, mu0))
-             for i in range(1, K + 1)]
-    net = scaled_sum(parts, [1.0 / K] * K)
+    net = _composed_sums(problem.f_net,
+                         [_mlp_net(problem, tree, (i,), n, m, tree.T, mu0)
+                          for i in range(1, K + 1)], [1.0 / K] * K)
     depth_f, depth_mu = len(dims(problem.f_net)), len(dims(problem.mu_net))
     return _report(net, depth_f + n * (depth_mu - 1) + 2,
                    K * mc_width_constant(problem) * (5 * m) ** n)
@@ -186,6 +189,8 @@ def theorem_pipeline(problem: TestProblem, epsilon: float, delta: float,
     still reported).  The seed retry realizes the good-outcome existence
     argument; failure to find one within the budget is reported, not raised.
     """
+    _check_count("level_cap", level_cap, 0)
+    _check_count("seed_budget", seed_budget, 1)
     d, c, r, T = problem.d, problem.c, problem.r, problem.T
     eps_inner = select_epsilon(d, epsilon, c, r, T)
     n_sel = select_N(d, epsilon, c, r, T)

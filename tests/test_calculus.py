@@ -255,6 +255,24 @@ def test_side_by_side_rejections(name, widths, coeffs, reason):
         merge(nets) if coeffs is None else scaled_sum(nets, coeffs)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: scaled_sum([_NETS[(2, 3, 1)]] * 2, [float("nan"), 1.0]),
+     "scaled_sum coefficients must be finite"),
+    (lambda: scaled_sum([_NETS[(2, 3, 1)]] * 2, [1.0, -np.inf]),
+     "scaled_sum coefficients must be finite"),
+    (lambda: affine_wrap(_NETS[(2, 3, 1)], np.nan, np.zeros(2), np.zeros(1)),
+     "lam must be finite"),
+    (lambda: affine_wrap(_NETS[(2, 3, 1)], 1.0, [0.0, np.inf], np.zeros(1)),
+     "shift b must be finite"),
+    (lambda: affine_wrap(_NETS[(2, 3, 1)], 1.0, np.zeros(2), [np.nan]),
+     "offset a must be finite"),
+], ids=["sum-nan", "sum-inf", "wrap-lam", "wrap-b", "wrap-a"])
+def test_non_finite_scalars_rejected(build, message):
+    # Each of these used to build a network that realizes NaN everywhere.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
 class TestAffineWrap:
     def test_identity_wrap(self):
         rng = np.random.default_rng(12)

@@ -411,8 +411,11 @@ class TestEntryCheck:
         (dict(base=-1), "base", TAKE_T),
         (dict(x=(1.0, 2.0, 3.0)), "x has shape", ("scalar", "batch", "payoff")),
         (dict(K=2.5), "K must", ("payoff", "mc_network")),
+        (dict(K=True), "K must", ("payoff", "mc_network")),
+        (dict(n=True), "n must", None),
+        (dict(m=True), "m must", None),
     ], ids=["m0", "m3-on-m2-tree", "n-1", "t-above-T", "t-nan", "base-1",
-            "x-length-3", "K-2.5"])
+            "x-length-3", "K-2.5", "K-True", "n-True", "m-True"])
     def test_rejects(self, bad, match, takers):
         calls = entry_points(**bad)
         for name in takers or calls:

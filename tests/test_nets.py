@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardnet.calculus import identity_network
-from picardnet.nets import (DimVector, NeuralNetwork, dim_supnorm, dims,
-                            network_from_text, network_to_text, param_count,
-                            realize, relu)
+from picardnet.nets import (DimVector, NeuralNetwork, _check_count,
+                            dim_supnorm, dims, network_from_text,
+                            network_to_text, param_count, realize, relu)
 
 
 def random_net(rng, widths):
@@ -262,3 +262,15 @@ class TestSharing:
         view = NeuralNetwork(((W[:, :1], B), net.layers[1]))
         assert view.layers[0][0].base is None
         assert view.layers[0][1] is B
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.0, "2", None])
+def test_count_check_rejects_non_integers_and_bools(value):
+    # A bool is an int to isinstance, so True used to pass as a count of 1.
+    with pytest.raises(ValueError, match="^K must be an integer >= 0, got "):
+        _check_count("K", value, 0)
+
+
+@pytest.mark.parametrize("value", [0, 3, np.int64(3), np.uint8(1)])
+def test_count_check_accepts_integers(value):
+    assert _check_count("K", value, 0) is None

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -8,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picardnet.calculus import dim_compose, dim_merge, dim_sum, identity_dims
+from picardnet.calculus import (compose, dim_compose, dim_merge, dim_sum,
+                                extend_depth, identity_dims, scaled_sum)
 from picardnet.estimator import mlp_estimate, monte_carlo_payoff
-from picardnet.nets import DimVector, dims, param_count, realize
+from picardnet.nets import DimVector, NeuralNetwork, dims, param_count, realize
 from picardnet.noise import NoiseTree, brownian_at
 from picardnet.problems import constant_problem, linear_problem
 from picardnet.synthesis import (probe_points, synthesize_mc_network,
@@ -156,6 +159,80 @@ class TestMcSynthesis:
             assert rel_err(realize(rep.network, x)[0], want) <= 1e-8
 
 
+def wide_drift_problem(d):
+    """A seeded 2d -> 8 -> 8 -> d drift (two hidden ReLU layers) with
+    linear_problem(d)'s payoff."""
+    rng = np.random.default_rng(40 + d)
+    mu = NeuralNetwork((
+        (rng.standard_normal((8, 2 * d)), rng.standard_normal(8)),
+        (rng.standard_normal((8, 8)) / 3, rng.standard_normal(8)),
+        (rng.standard_normal((d, 8)) / 3, rng.standard_normal(d))))
+    return dataclasses.replace(linear_problem(d), mu_net=mu, name="wide drift")
+
+
+def long_payoff_problem(d, extra):
+    base = linear_problem(d, a=0.1, b=-0.4)
+    return dataclasses.replace(base, f_net=extend_depth(base.f_net, extra))
+
+
+PROBLEMS = {"linear": lambda d: linear_problem(d, a=0.1, b=-0.4),
+            "wide drift": wide_drift_problem,
+            "payoff +1": lambda d: long_payoff_problem(d, 1),
+            "payoff +2": lambda d: long_payoff_problem(d, 2)}
+
+
+def layer_digest(net):
+    """sha256 of every layer's shapes and W and B bytes, in order."""
+    digest = hashlib.sha256()
+    for W, B in net.layers:
+        digest.update(repr((W.shape, B.shape)).encode())
+        digest.update(W.tobytes(order="C"))
+        digest.update(B.tobytes(order="C"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", list(PROBLEMS))
+def test_mc_network_bytes_equal_public_api_oracle(kind, d, n, m):
+    # The Monte Carlo network is assembled in one pass from the summands of
+    # its K level-n sums; the oracle builds each level-n network, composes
+    # the payoff after it and sums the K parts, with public functions only.
+    prob = PROBLEMS[kind](d)
+    tree = NoiseTree(master_seed=17, T=prob.T, d=d, grid_levels=max(n, 1),
+                     m=m)
+    levels = [synthesize_mlp_network(prob, tree, (i,), n, m, tree.T).network
+              for i in (1, 2, 3)]
+    for K in (1, 2, 3):
+        oracle = scaled_sum([compose(prob.f_net, net) for net in levels[:K]],
+                            [1.0 / K] * K)
+        want = layer_digest(oracle)
+        del oracle
+        assert layer_digest(synthesize_mc_network(prob, tree, K, n, m)
+                            .network) == want, f"K = {K}"
+
+
+def test_mc_network_construction_peak_stays_near_its_size():
+    # Building each level-n network on its own and then copying it into the
+    # Monte Carlo network peaked at 1.5 times the result's bytes here.
+    prob = linear_problem(2)
+    tree = NoiseTree(master_seed=3, T=prob.T, d=2, grid_levels=3, m=3)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        net = synthesize_mc_network(prob, tree, 2, 3, 3).network
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    size = sum(W.nbytes + B.nbytes for W, B in net.layers)
+    assert peak <= 1.25 * size
+
+
 class TestTheoremPipeline:
     def test_linear_d1(self):
         prob = linear_problem(1, T=0.1)
@@ -181,6 +258,21 @@ class TestTheoremPipeline:
                               points=128)
         assert r1.l2_error == r2.l2_error
         assert r1.seed_used == r2.seed_used
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(seed_budget=0), "seed_budget must be an integer >= 1, got 0"),
+    (dict(seed_budget=1.5), "seed_budget must be an integer >= 1, got 1.5"),
+    (dict(seed_budget=True), "seed_budget must be an integer >= 1"),
+    (dict(level_cap=-1), "level_cap must be an integer >= 0, got -1"),
+    (dict(level_cap=1.0), "level_cap must be an integer >= 0"),
+], ids=["budget-0", "budget-1.5", "budget-True", "cap-1", "cap-float"])
+def test_theorem_pipeline_rejects_bad_counts(kwargs, message):
+    # seed_budget = 0 used to return None, and level_cap = -1 surfaced as a
+    # grid_levels error from NoiseTree.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        theorem_pipeline(linear_problem(1, T=0.1), 0.5, 0.5, points=16,
+                         **kwargs)
 
 
 def test_probe_points_deterministic():
