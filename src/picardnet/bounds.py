@@ -72,10 +72,7 @@ def simulate_particles(problems: list[TestProblem], cfg: ParticleConfig,
     for p in problems:
         if p.d != d or p.T != T:
             raise ValueError("coupled problems must share d and T")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (d,) or not np.isfinite(x).all():
-        raise ValueError(f"x must be a finite vector of length d={d}, "
-                         f"got shape {x.shape}")
+    x = _check_x(x, d)
     M, J = cfg.particles, min(cfg.partner_count, cfg.particles)
     rng = np.random.default_rng(cfg.master_seed)
     states = [np.repeat(x[:, None], M, axis=1) for _ in problems]
@@ -110,9 +107,13 @@ def _mu_at_zero_norm(problem: TestProblem) -> float:
         realize(problem.mu_net, np.zeros(2 * problem.d))))
 
 
-def _check_x(x, d: int) -> None:
-    if np.shape(x) != (d,):
-        raise ValueError(f"x must have shape ({d},), got {np.shape(x)}")
+def _check_x(x, d: int) -> np.ndarray:
+    """x as float64; a ValueError naming x unless it is a finite (d,) vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d,) or not np.isfinite(x).all():
+        raise ValueError(f"x must be a finite vector of length d={d}, "
+                         f"got shape {x.shape}")
+    return x
 
 
 def _check_states(problem: TestProblem, x, p, *states) -> None:

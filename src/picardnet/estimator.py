@@ -13,12 +13,13 @@ A level-n node reads W at the level-n grid floor of its time, and only
 Two implementations share the same noise contract: ``mlp_estimate`` is the
 direct scalar recursion, and ``mlp_estimate_batch`` runs many top-level
 samples in lockstep.  Each entry point, the synthesis ones included, checks
-its arguments once and realizes mu(0,0) once; the recursions take both as
-given.  The batch recursion carries one uint64 stream key per row and
-caches nothing.  The sub-estimates of a group of resampling indices k run
-as one call on stacked rows, so each call folds keys, draws uniforms,
-queries Brownian values at their grid points and evaluates the drift once
-for all of them.
+its arguments, folds its index tuples into uint64 stream keys and realizes
+mu(0,0) once; below it no tuple exists.  Every recursion takes its child
+keys (theta, n, k, ell) and their times from ``_children`` and reads W by
+``_brownian``.  The batch recursion carries one key per row and caches
+nothing; the sub-estimates of a group of resampling indices k run as one
+call on stacked rows, so keys, uniforms, Brownian values and the drift are
+computed once for all of them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .nets import _check_count, realize
+# brownian_at and uniform_time are bound here only for perfbench's tracer.
 from .noise import (_BLOCK, NoiseTree, ThetaIndex, base_keys, brownian_at,
-                    brownian_path_batch, fold_keys, uniform_time,
+                    brownian_path_batch, fold_keys, theta_key, uniform_time,
                     uniform_time_batch)
 from .problems import TestProblem
 
@@ -44,26 +46,43 @@ def _grid_index(tree: NoiseTree, t, m: int, n: int):
     return k * (tree.grid_size // G)
 
 
+def _brownian(tree: NoiseTree, keys: np.ndarray, t, m: int, n: int):
+    """W of the streams of keys at the level-n grid floor of their times t."""
+    return brownian_path_batch(tree, keys, _grid_index(tree, np.atleast_1d(t), m, n))
+
+
+def _children(keys: np.ndarray, t, n: int, ks: np.ndarray, ell: int):
+    """The child keys (theta, n, k, ell) of the streams of keys for each k
+    in ks, k-major, and their times U^child * t (t per key, or one time)."""
+    child = fold_keys(fold_keys(fold_keys(keys, n), ks[:, None]), ell).ravel()
+    return child, uniform_time_batch(child) * np.tile(t, len(ks))
+
+
 def _check_args(problem: TestProblem, tree: NoiseTree, n, m, t, x=None,
                 bases=(), K=1):
     """Raise a ValueError naming the first argument outside the recursion's
     contract (the level-n grid a subgrid of the tree's); return x as float64."""
     for name, v, low in (("n", n, 0), ("m", m, 1), ("K", K, 1)):
         _check_count(name, v, low)
-    if not 0 <= t <= tree.T * (1 + 1e-12):
-        raise ValueError(f"time t = {t!r} outside [0, {tree.T}]")
+    if isinstance(t, bool) or not 0 <= t <= tree.T * (1 + 1e-12):
+        raise ValueError(f"time t = {t!r} is not a number in [0, {tree.T}]")
     if n > tree.grid_levels or tree.grid_size % m ** min(n, 54):  # grid_size <= 2**53
         raise ValueError(f"level n = {n} with m = {m} is off the grid of "
                          f"{tree.m}**{tree.grid_levels} steps")
     if tree.d != problem.d:
         raise ValueError(f"tree.d = {tree.d} != problem.d = {problem.d}")
     for b in bases:
-        if not isinstance(b, (int, np.integer)) or not 0 <= b < 2 ** 64:
+        if (isinstance(b, bool) or not isinstance(b, (int, np.integer))
+                or not 0 <= b < 2 ** 64):
             raise ValueError(f"base or theta entry {b!r} is not an integer "
                              "in [0, 2**64)")
-    if x is not None and np.shape(x) != (problem.d,):
-        raise ValueError(f"x has shape {np.shape(x)}, not ({problem.d},)")
-    return None if x is None else np.asarray(x, dtype=np.float64)
+    if x is None:
+        return None
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (problem.d,) or not np.isfinite(x).all():
+        raise ValueError(f"x has shape {x.shape}; need a finite vector of "
+                         f"shape ({problem.d},)")
+    return x
 
 
 def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
@@ -71,28 +90,26 @@ def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
     """Level-n estimate of the state at time t started from x, scalar path."""
     theta = tuple(theta)
     x = _check_args(problem, tree, n, m, t, x, theta)
+    key = np.array([theta_key(tree.master_seed, theta)], np.uint64)
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    return _mlp_scalar(problem, tree, theta, n, m, t, x, mu0)
+    return _mlp_scalar(problem, tree, key, n, m, t, x, mu0)
 
 
-def _mlp_scalar(problem: TestProblem, tree: NoiseTree, theta: tuple, n: int,
-                m: int, t: float, x: np.ndarray, mu0: np.ndarray):
-    """The recursion of ``mlp_estimate`` on checked arguments."""
+def _mlp_scalar(problem: TestProblem, tree: NoiseTree, key: np.ndarray,
+                n: int, m: int, t: float, x: np.ndarray, mu0: np.ndarray):
+    """The recursion of ``mlp_estimate`` on checked arguments, for the
+    stream of key, a uint64 array of one stream key."""
     if n == 0:
         return np.zeros(problem.d)
-    val = x + brownian_at(tree, theta, _grid_index(tree, t, m, n)) + t * mu0
+    val = x + _brownian(tree, key, t, m, n)[0] + t * mu0
     for ell in range(1, n):
         M = m ** (n - ell)
-        for k in range(1, M + 1):
-            child = theta + (n, k, ell)
-            s = uniform_time(tree, child) * t
-            hi = np.concatenate([
-                _mlp_scalar(problem, tree, theta, ell, m, s, x, mu0),
-                _mlp_scalar(problem, tree, child, ell, m, s, x, mu0)])
-            lo = mu0 if ell == 1 else realize(problem.mu_net, np.concatenate([
-                _mlp_scalar(problem, tree, theta, ell - 1, m, s, x, mu0),
-                _mlp_scalar(problem, tree, child, ell - 1, m, s, x, mu0)]))
-            val = val + (t / M) * (realize(problem.mu_net, hi) - lo)
+        child, times = _children(key, t, n, np.arange(1, M + 1), ell)
+        for c, s in zip(child[:, None], times):
+            hi, lo = [realize(problem.mu_net, np.concatenate(
+                [_mlp_scalar(problem, tree, node, lv, m, s, x, mu0)
+                 for node in (key, c)])) if lv else mu0 for lv in (ell, ell - 1)]
+            val = val + (t / M) * (hi - lo)
     return val
 
 
@@ -112,16 +129,14 @@ def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
         return np.concatenate([
             _mlp_batch(problem, tree, keys[b], n, m, t[b], x, mu0)
             for b in _blocks(R, _GROUP_ROWS)])
-    val = (x + brownian_path_batch(tree, keys, _grid_index(tree, t, m, n))
-           + t[:, None] * mu0)
+    val = x + _brownian(tree, keys, t, m, n) + t[:, None] * mu0
     group = _GROUP_ROWS // R
     for ell in range(1, n):
         M = m ** (n - ell)
         for k0 in range(1, M + 1, group):
             ks = np.arange(k0, min(k0 + group, M + 1))
-            child = fold_keys(fold_keys(fold_keys(keys, n), ks[:, None]),
-                              ell).ravel()
-            s = np.tile(uniform_time_batch(child) * np.tile(t, len(ks)), 2)
+            child, s = _children(keys, t, n, ks, ell)
+            s = np.tile(s, 2)
             both = np.concatenate([np.tile(keys, len(ks)), child])
             rows = len(child)
             # A level-0 estimate is zero, and the drift there is mu0.

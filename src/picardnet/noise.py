@@ -18,7 +18,8 @@ exactly, so index-0 rows never enter a block: they are exact zeros and
 draw no normal.  A coarse index is a multiple of a power of two, where the
 tents of all finer levels are zero, so a block draws normals only for the
 nodes live at some index in it and sums exact zeros for the rest.
-The tuple API is ``theta_key`` plus the one-key cases of the batch kernels.
+The tuple API (``theta_key`` and the one-key ``uniform_time`` and
+``brownian_at``) serves entry points only: the recursions walk uint64 keys.
 """
 
 from __future__ import annotations
@@ -33,26 +34,14 @@ from .nets import _check_count
 ThetaIndex = tuple[int, ...]
 
 _MASK = (1 << 64) - 1
-_PHI = 0x9E3779B97F4A7C15
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
-
-_PHI_U = np.uint64(_PHI)
-_MUL1_U = np.uint64(_MUL1)
-_MUL2_U = np.uint64(_MUL2)
+_PHI_U = np.uint64(0x9E3779B97F4A7C15)
+_MUL1_U = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2_U = np.uint64(0x94D049BB133111EB)
 
 # Working-set cap, in float64 values, of a Brownian query block and of a drift
 # block's widest activation: malloc reuses 128 KiB arrays without fresh pages,
 # and a block's input, output and 256 x 256 weight fit in a 2 MiB L2 cache.
 _BLOCK = 1 << 14
-
-
-def _mix(x: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer."""
-    x &= _MASK
-    x = ((x ^ (x >> 30)) * _MUL1) & _MASK
-    x = ((x ^ (x >> 27)) * _MUL2) & _MASK
-    return x ^ (x >> 31)
 
 
 def _mix_array(x: np.ndarray) -> np.ndarray:
@@ -71,15 +60,15 @@ def _to_unit(v: np.ndarray) -> np.ndarray:
 
 
 def theta_key(master_seed: int, theta: ThetaIndex) -> int:
-    """64-bit stream key for one index tuple."""
+    """64-bit stream key for one index tuple, folded by ``fold_keys``."""
     if len(theta) == 0:
         raise ValueError("theta must be a nonempty tuple")
-    h = master_seed & _MASK
+    key = np.array([master_seed & _MASK], np.uint64)
     for e in theta:
         if e < 0 or e > _MASK:
             raise ValueError(f"theta entries must lie in [0, 2**64): {theta}")
-        h = _mix(h ^ _mix((e + _PHI) & _MASK))
-    return h
+        key = fold_keys(key, e)
+    return int(key[0])
 
 
 def fold_keys(keys: np.ndarray, element) -> np.ndarray:
@@ -121,11 +110,12 @@ class NoiseTree:
 
     def __post_init__(self):
         s = self.master_seed
-        if not isinstance(s, (int, np.integer)) or not 0 <= s <= _MASK:
+        if (isinstance(s, bool) or not isinstance(s, (int, np.integer))
+                or not 0 <= s <= _MASK):
             raise ValueError(f"master_seed must be an integer in [0, 2**64), got {s!r}")
         for name, low in (("d", 1), ("grid_levels", 0), ("m", 1)):
             _check_count(name, getattr(self, name), low)
-        if not 0 < self.T < np.inf:
+        if isinstance(self.T, bool) or not 0 < self.T < np.inf:
             raise ValueError(f"T must be finite and > 0, got {self.T!r}")
         if self.m > 1 and (self.grid_levels > 53 or self.grid_size > 2 ** 53):
             raise ValueError(

@@ -47,10 +47,14 @@ def linear_problem(d: int, a: float = 0.0, b: float = -0.5, T: float = 1.0,
     The mean solves the ODE mean' = (a + b) mean, so the terminal expectation
     of the payoff is <w, x> e^{(a+b)T} + c0 exactly.
     """
+    _check_count("d", d, 1)
     if w is None:
         w = np.zeros(d)
         w[0] = 1.0
     w = np.asarray(w, dtype=np.float64)
+    for name, v in (("a", a), ("b", b), ("w", w), ("c0", c0)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v!r}")
     c = max(1.0, 2 * abs(a), 2 * abs(b), float(np.linalg.norm(w)))
     rate = a + b
 
@@ -67,6 +71,9 @@ def linear_problem(d: int, a: float = 0.0, b: float = -0.5, T: float = 1.0,
 
 def constant_problem(d: int, value: float, T: float = 1.0) -> TestProblem:
     """Zero drift and a constant payoff; terminal expectation is the value."""
+    _check_count("d", d, 1)
+    if not np.isfinite(value):
+        raise ValueError(f"value must be finite, got {value!r}")
     mu = affine_network(np.zeros((d, 2 * d)), np.zeros(d))
     f = NeuralNetwork(((np.zeros((2, d)), np.zeros(2)),
                        (np.zeros((1, 2)), np.array([value]))))

@@ -129,8 +129,7 @@ def run_scaling_suite(cfg: ExperimentConfig):
     for d in cfg.dims:
         prob = linear_problem(d, T=cfg.horizon)
         for eps in cfg.epsilons:
-            res = theorem_pipeline(prob, eps, cfg.delta,
-                                   level_cap=cfg.level_cap,
+            res = theorem_pipeline(prob, eps, level_cap=cfg.level_cap,
                                    seed_budget=cfg.seed_budget,
                                    base_seed=cfg.seed, points=cfg.points)
             log_bound = log_param_bound(d, eps, cfg.delta, prob.c,

@@ -6,7 +6,8 @@ t*mu(0,0) contributions become constants baked into an affine-wrapped
 identity network, and each telescoping correction becomes the drift network
 composed with a merged pair of lower-level networks, depth-padded with
 identity layers (``extend_depth``).  The level-n network is the
-``scaled_sum`` of these summands.
+``scaled_sum`` of these summands.  Like the estimator's, the recursion
+walks uint64 stream keys that the entry points fold once.
 
 The K-sample Monte Carlo payoff network is assembled in one pass from the K
 summand lists (``calculus._composed_sums``): no level-n network is built on
@@ -23,10 +24,12 @@ import numpy as np
 
 from .calculus import (_composed_sums, affine_wrap, compose, extend_depth,
                        identity_network, merge, scaled_sum, zero_network)
-from .estimator import _check_args, _grid_index
+from .estimator import _brownian, _check_args, _children
 from .nets import (NeuralNetwork, _check_count, dim_supnorm, dims,
                    param_count, realize)
-from .noise import NoiseTree, ThetaIndex, brownian_at, uniform_time
+# brownian_at and uniform_time are bound here only for perfbench's tracer.
+from .noise import (NoiseTree, ThetaIndex, base_keys, brownian_at, theta_key,
+                    uniform_time)
 from .problems import TestProblem
 # log_param_bound is bound here only for perfbench's tracer, which wraps it.
 from .selection import log_param_bound, select_N, select_epsilon
@@ -42,26 +45,25 @@ class SynthesisReport:
     predicted_width_bound: int
 
 
-def _mlp_net(problem: TestProblem, tree: NoiseTree, theta: tuple,
+def _mlp_net(problem: TestProblem, tree: NoiseTree, key: np.ndarray,
              n: int, m: int, t: float, mu0: np.ndarray) -> tuple[list, list]:
-    """The summands and coefficients of the level-n network on checked
-    arguments, mu0 = mu(0, 0); the network is their ``scaled_sum``.  Every
-    summand has H = n * len(mu_net.layers) + 1 hidden layers (one at n = 0)."""
+    """The level-n network of key (one uint64 stream key in an array) on
+    checked arguments, mu0 = mu(0, 0), as the summands and coefficients of
+    its ``scaled_sum``; each has H hidden layers (one at n = 0)."""
     d, mu_net = problem.d, problem.mu_net
     if n == 0:
         return [zero_network(d, d, 3)], [1.0]
     H = n * len(mu_net.layers) + 1
-    const = brownian_at(tree, theta, _grid_index(tree, t, m, n)) + t * mu0
+    const = _brownian(tree, key, t, m, n)[0] + t * mu0
     nets = [affine_wrap(identity_network(d, H), 1.0, np.zeros(d), const)]
     coeffs = [1.0]
     for ell in range(1, n):
         M = m ** (n - ell)
-        for k in range(1, M + 1):
-            child = theta + (n, k, ell)
-            s = uniform_time(tree, child) * t
+        child, times = _children(key, t, n, np.arange(1, M + 1), ell)
+        for c, s in zip(child[:, None], times):
             for lv, h in ((ell, t / M), (ell - 1, -t / M)):
-                subs = [_mlp_net(problem, tree, th, lv, m, s, mu0)
-                        for th in (theta, child)]
+                subs = [_mlp_net(problem, tree, node, lv, m, s, mu0)
+                        for node in (key, c)]
                 # A level-0 sum is its one summand, the zero network.
                 pair = merge([scaled_sum(*sub) if lv else sub[0][0] for sub in subs])
                 pad = H + 1 - len(mu_net.layers) - len(pair.layers)
@@ -99,8 +101,9 @@ def synthesize_mlp_network(problem: TestProblem, tree: NoiseTree,
     depth law n(depth_mu - 1) + 3 and width bound c (5m)^n."""
     theta = tuple(theta)
     _check_args(problem, tree, n, m, t, bases=theta)
+    key = np.array([theta_key(tree.master_seed, theta)], np.uint64)
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    net = scaled_sum(*_mlp_net(problem, tree, theta, n, m, t, mu0))
+    net = scaled_sum(*_mlp_net(problem, tree, key, n, m, t, mu0))
     return _report(net, n * (len(dims(problem.mu_net)) - 1) + 3,
                    mlp_width_constant(problem) * (5 * m) ** n)
 
@@ -110,10 +113,11 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
     """Network equal (in x) to the K-sample Monte Carlo payoff average,
     with depth depth_f + n(depth_mu - 1) + 2 and width bound K c (5m)^n."""
     _check_args(problem, tree, n, m, tree.T, K=K)
+    keys = base_keys(tree.master_seed, np.arange(1, K + 1))[:, None]
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
     net = _composed_sums(problem.f_net,
-                         [_mlp_net(problem, tree, (i,), n, m, tree.T, mu0)
-                          for i in range(1, K + 1)], [1.0 / K] * K)
+                         [_mlp_net(problem, tree, key, n, m, tree.T, mu0)
+                          for key in keys], [1.0 / K] * K)
     depth_f, depth_mu = len(dims(problem.f_net)), len(dims(problem.mu_net))
     return _report(net, depth_f + n * (depth_mu - 1) + 2,
                    K * mc_width_constant(problem) * (5 * m) ** n)
@@ -174,11 +178,10 @@ class PipelineResult:
     m: int
     K: int
     seed_used: int
-    attempts: int
     succeeded: bool
 
 
-def theorem_pipeline(problem: TestProblem, epsilon: float, delta: float,
+def theorem_pipeline(problem: TestProblem, epsilon: float,
                      level_cap: int = 2, seed_budget: int = 50,
                      base_seed: int = 0, points: int = 1024) -> PipelineResult:
     """Select parameters, synthesize the Monte Carlo network, and retry over
@@ -212,7 +215,7 @@ def theorem_pipeline(problem: TestProblem, epsilon: float, delta: float,
             best = PipelineResult(report=rep, l2_error=err,
                                   epsilon_inner=eps_inner, n_selected=n_sel,
                                   n_used=n_used, m=m, K=K,
-                                  seed_used=base_seed + i, attempts=i + 1,
+                                  seed_used=base_seed + i,
                                   succeeded=err < epsilon)
         if err < epsilon:
             return best

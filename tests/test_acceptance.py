@@ -266,7 +266,7 @@ def test_criterion_5_scaling_table(capsys):
         assert prob.c == c and prob.r == r
         log_eps_inv, log_pc = [], []
         for eps in (0.5, 0.25):
-            res = theorem_pipeline(prob, eps, delta, level_cap=2,
+            res = theorem_pipeline(prob, eps, level_cap=2,
                                    seed_budget=50, points=1024)
             ok &= res.succeeded and res.l2_error < eps
             pc = res.report.param_count

@@ -302,10 +302,15 @@ def _error(n=2, m=2, x=np.ones(1)):
     (_error, {"m": 0}, "m"),
     (_error, {"m": 2.0}, "m"),
     (_error, {"x": np.ones(3)}, "x"),
+    (_moment, {"x": np.array([np.inf])}, "x"),
+    (_perturbation, {"x": np.array([-np.inf])}, "x"),
+    (_error, {"x": np.array([np.nan])}, "x"),
+    (_error, {"x": np.array([np.inf])}, "x"),
 ], ids=["moment-p0", "moment-p1.5", "moment-x-length-3", "moment-empty",
         "moment-1d-states", "moment-states-d2", "pert-p0",
         "pert-x-length-3", "pert-shape-mismatch", "pert-empty", "error-n-1",
-        "error-n1.5", "error-m0", "error-m2.0", "error-x-length-3"])
+        "error-n1.5", "error-m0", "error-m2.0", "error-x-length-3",
+        "moment-x-inf", "pert-x-minus-inf", "error-x-nan", "error-x-inf"])
 def test_bound_check_rejects_bad_arguments(check, kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must"):
         check(**kwargs)

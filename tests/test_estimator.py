@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import picardnet.estimator
+import picardnet.noise
 import picardnet.synthesis
 from picardnet.estimator import (_grid_index, mlp_estimate,
                                  mlp_estimate_batch, monte_carlo_payoff)
 from picardnet.nets import NeuralNetwork, realize
-from picardnet.noise import NoiseTree, brownian_at, uniform_time
+from picardnet.noise import NoiseTree, brownian_at, theta_key, uniform_time
 from picardnet.problems import constant_problem, linear_problem
 from picardnet.synthesis import synthesize_mc_network, synthesize_mlp_network
 
@@ -414,8 +415,14 @@ class TestEntryCheck:
         (dict(K=True), "K must", ("payoff", "mc_network")),
         (dict(n=True), "n must", None),
         (dict(m=True), "m must", None),
+        (dict(t=True), "time t", TAKE_T),
+        (dict(base=True), "base", TAKE_T),
+        (dict(x=(float("nan"),)), "x has shape", ("scalar", "batch", "payoff")),
+        (dict(x=(float("inf"),)), "x has shape", ("scalar", "batch", "payoff")),
+        (dict(x=(-float("inf"),)), "x has shape", ("scalar", "batch", "payoff")),
     ], ids=["m0", "m3-on-m2-tree", "n-1", "t-above-T", "t-nan", "base-1",
-            "x-length-3", "K-2.5", "K-True", "n-True", "m-True"])
+            "x-length-3", "K-2.5", "K-True", "n-True", "m-True", "t-True",
+            "base-True", "x-nan", "x-inf", "x-minus-inf"])
     def test_rejects(self, bad, match, takers):
         calls = entry_points(**bad)
         for name in takers or calls:
@@ -504,3 +511,44 @@ def test_mu0_realized_once_per_call(monkeypatch, module, call):
     monkeypatch.setattr(module, "realize", counting_realize)
     call(prob, make_tree(seed=4, levels=3, m=3))
     assert len(zeros) == 1 and zeros[0] is prob.mu_net
+
+
+# Nodes of a level-3 call at m = 3, N(3) = 1 + sum_ell 3**(3 - ell) * (pairs
+# at ell and ell - 1): N(0) = N(1) = 1.  The scalar recursion skips level 0
+# (N(2) = 7, N(3) = 67); synthesis builds its zero networks (13 and 121).
+@pytest.mark.parametrize("module, recursion, call, count", [
+    (picardnet.estimator, "_mlp_scalar",
+     lambda p, tr: mlp_estimate(p, tr, (4, 1), 3, 3, 0.8, np.ones(1)), 67),
+    (picardnet.synthesis, "_mlp_net",
+     lambda p, tr: synthesize_mlp_network(p, tr, (4, 1), 3, 3, 0.8), 121),
+], ids=["mlp_estimate", "synthesize_mlp_network"])
+def test_theta_folded_once_at_entry(monkeypatch, module, recursion, call,
+                                    count):
+    # The entry point folds theta into one stream key; every node below it
+    # walks uint64 keys and never returns to the tuple API.
+    folds, nodes = [], []
+
+    def counting_theta_key(seed, theta):
+        folds.append(theta)
+        return theta_key(seed, theta)
+
+    def tuple_api(*args):
+        raise AssertionError("tuple API called below the entry point")
+
+    def recording(problem, tree, key, *rest):
+        nodes.append(key)
+        return original(problem, tree, key, *rest)
+
+    original = getattr(module, recursion)
+    monkeypatch.setattr(picardnet.noise, "theta_key", counting_theta_key)
+    monkeypatch.setattr(module, "theta_key", counting_theta_key, raising=False)
+    for mod in (picardnet.noise, picardnet.estimator, picardnet.synthesis):
+        for name in ("brownian_at", "uniform_time"):
+            monkeypatch.setattr(mod, name, tuple_api)
+    monkeypatch.setattr(module, recursion, recording)
+    call(linear_problem(1, a=0.2, b=-0.3), make_tree(seed=4, levels=3, m=3))
+    assert folds == [(4, 1)]
+    assert len(nodes) == count
+    for key in nodes:
+        assert isinstance(key, np.ndarray) and key.dtype == np.uint64
+        assert key.shape == (1,)

@@ -236,6 +236,22 @@ class TestQueryBoundary:
         assert brownian_path_batch(tree, [], []).shape == (0, 2)
 
 
+def splitmix_key(seed, theta):
+    """Reference stream key: the SplitMix64 fold transcribed on Python ints,
+    h <- mix(h ^ mix(e + golden)) per tuple entry, from h = seed."""
+    mask = (1 << 64) - 1
+
+    def mix(x):
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    h = seed & mask
+    for e in theta:
+        h = mix(h ^ mix((e + 0x9E3779B97F4A7C15) & mask))
+    return h
+
+
 class TestKeys:
     def test_array_element_folds_without_warning(self):
         seed, bases = 4242, np.arange(1, 4)
@@ -248,7 +264,7 @@ class TestKeys:
             zero_dim = fold_keys(keys, np.array(2 ** 64 - 1, np.uint64))
         for i, e in enumerate(elements):
             for j, b in enumerate(bases):
-                assert int(grid[i, j]) == theta_key(seed, (int(b), int(e)))
+                assert int(grid[i, j]) == splitmix_key(seed, (int(b), int(e)))
         np.testing.assert_array_equal(scalar, grid[2])
         np.testing.assert_array_equal(zero_dim, grid[2])
 
@@ -257,10 +273,17 @@ class TestKeys:
         bases = np.arange(1, 50)
         keys = base_keys(seed, bases)
         for i, b in enumerate(bases):
-            assert int(keys[i]) == theta_key(seed, (int(b),))
+            assert int(keys[i]) == splitmix_key(seed, (int(b),))
+            assert theta_key(seed, (int(b),)) == int(keys[i])
         folded = fold_keys(fold_keys(keys, 3), 7)
         for i, b in enumerate(bases):
-            assert int(folded[i]) == theta_key(seed, (int(b), 3, 7))
+            assert int(folded[i]) == splitmix_key(seed, (int(b), 3, 7))
+            assert theta_key(seed, (int(b), 3, 7)) == int(folded[i])
+
+    def test_theta_key_matches_reference(self):
+        for seed in (0, 4242, 2 ** 64 - 1):
+            for theta in ((0,), (2 ** 64 - 1,), (5, 3, 2, 1), (1, 2 ** 63, 7)):
+                assert theta_key(seed, theta) == splitmix_key(seed, theta)
 
     def test_empty_theta_rejected(self):
         with pytest.raises(ValueError):
@@ -290,7 +313,8 @@ class TestNoiseTreeValidation:
         ("d", 1.5), ("m", 2.5), ("grid_levels", 2.0), ("T", np.inf),
         ("T", np.nan), ("d", 0), ("m", 0), ("grid_levels", -1),
         ("master_seed", -1), ("master_seed", 2 ** 64),
-        ("master_seed", -2 ** 64 + 5), ("master_seed", 5.0)])
+        ("master_seed", -2 ** 64 + 5), ("master_seed", 5.0),
+        ("master_seed", True), ("T", True)])
     def test_bad_field_rejected(self, field, value):
         kwargs = dict(master_seed=0, T=1.0, d=1, grid_levels=2, m=2)
         kwargs[field] = value

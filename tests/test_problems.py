@@ -17,6 +17,27 @@ def test_non_finite_or_nonpositive_horizon_rejected(T):
                              mu_net=base.mu_net, f_net=base.f_net)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: problems.linear_problem(0), "d"),
+    (lambda: problems.linear_problem(True), "d"),
+    (lambda: problems.linear_problem(1.5), "d"),
+    (lambda: problems.linear_problem(1, a=np.nan), "a"),
+    (lambda: problems.linear_problem(1, b=np.inf), "b"),
+    (lambda: problems.linear_problem(2, w=[1.0, np.nan]), "w"),
+    (lambda: problems.linear_problem(1, c0=-np.inf), "c0"),
+    (lambda: problems.constant_problem(0, 1.0), "d"),
+    (lambda: problems.constant_problem(True, 1.0), "d"),
+    (lambda: problems.constant_problem(1, np.nan), "value"),
+], ids=["linear-d0", "linear-d-True", "linear-d1.5", "linear-a-nan",
+        "linear-b-inf", "linear-w-nan", "linear-c0-minus-inf", "constant-d0",
+        "constant-d-True", "constant-value-nan"])
+def test_problem_builders_reject_bad_arguments(build, name):
+    # linear_problem(0) raised IndexError, linear_problem(True) TypeError,
+    # and a NaN a, b, w, c0 or value built a NaN network.
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        build()
+
+
 def test_zero_moment_exponent_rejected():
     # the moment bound takes an L^{pr} norm, which r = 0 would divide by
     with pytest.raises(ValueError, match="^r must be an integer >= 1"):

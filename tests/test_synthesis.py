@@ -236,7 +236,7 @@ def test_mc_network_construction_peak_stays_near_its_size():
 class TestTheoremPipeline:
     def test_linear_d1(self):
         prob = linear_problem(1, T=0.1)
-        res = theorem_pipeline(prob, 0.5, 0.5, level_cap=2, seed_budget=20,
+        res = theorem_pipeline(prob, 0.5, level_cap=2, seed_budget=20,
                                points=256)
         assert res.succeeded
         assert res.l2_error < 0.5
@@ -245,16 +245,16 @@ class TestTheoremPipeline:
 
     def test_constant_problem_zero_error(self):
         prob = constant_problem(1, value=0.75, T=0.1)
-        res = theorem_pipeline(prob, 0.5, 0.5, level_cap=2, seed_budget=3,
+        res = theorem_pipeline(prob, 0.5, level_cap=2, seed_budget=3,
                                points=64)
         assert res.succeeded
         assert res.l2_error <= 1e-10
 
     def test_determinism(self):
         prob = linear_problem(1, T=0.1)
-        r1 = theorem_pipeline(prob, 0.5, 0.5, level_cap=2, seed_budget=5,
+        r1 = theorem_pipeline(prob, 0.5, level_cap=2, seed_budget=5,
                               points=128)
-        r2 = theorem_pipeline(prob, 0.5, 0.5, level_cap=2, seed_budget=5,
+        r2 = theorem_pipeline(prob, 0.5, level_cap=2, seed_budget=5,
                               points=128)
         assert r1.l2_error == r2.l2_error
         assert r1.seed_used == r2.seed_used
@@ -271,7 +271,7 @@ def test_theorem_pipeline_rejects_bad_counts(kwargs, message):
     # seed_budget = 0 used to return None, and level_cap = -1 surfaced as a
     # grid_levels error from NoiseTree.
     with pytest.raises(ValueError, match=f"^{message}"):
-        theorem_pipeline(linear_problem(1, T=0.1), 0.5, 0.5, points=16,
+        theorem_pipeline(linear_problem(1, T=0.1), 0.5, points=16,
                          **kwargs)
 
 
