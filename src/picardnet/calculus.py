@@ -136,11 +136,12 @@ def affine_network(W: np.ndarray, c: np.ndarray,
     pair (u+, u-) is nonnegative, so identity layers pass it through ReLU."""
     W = np.asarray(W, dtype=np.float64)
     c = np.array(c, dtype=np.float64)  # a copy: _readonly freezes in place
-    if W.ndim != 2 or W.size == 0:
-        raise ValueError(f"W must be a nonempty matrix, got shape {W.shape}")
+    if W.ndim != 2 or W.size == 0 or not np.isfinite(W).all():
+        raise ValueError(f"W must be a nonempty finite matrix, got {W!r}")
     q = W.shape[0]
-    if c.shape != (q,):
-        raise ValueError(f"offset c must have shape {(q,)}, got {c.shape}")
+    if c.shape != (q,) or not np.isfinite(c).all():
+        raise ValueError(f"offset c must be a finite vector of shape {(q,)}, "
+                         f"got {c!r}")
     _check_count("hidden_layers", hidden_layers, 1)
     layers = [(np.vstack([W, -W]), np.zeros(2 * q))]
     return NeuralNetwork(_readonly(layers + _unsplit_tail(q, c, hidden_layers)))

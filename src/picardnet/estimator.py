@@ -6,20 +6,19 @@ The estimator replaces the expectation by recursive resampling over a tree of
 noise indices.  Level 0 is zero; level n adds the Brownian term, t*mu(0,0),
 and telescoping corrections between consecutive lower levels evaluated at
 resampled times.  The lower term of a level-1 correction is thus mu(0,0),
-which both implementations reuse rather than evaluate the drift at zeros.
+which the recursion reuses rather than evaluate the drift at zeros.
 A level-n node reads W at the level-n grid floor of its time, and only
 ``_grid_index`` maps that time to a finest-grid index.
 
-Two implementations share the same noise contract: ``mlp_estimate`` is the
-direct scalar recursion, and ``mlp_estimate_batch`` runs many top-level
-samples in lockstep.  Each entry point, the synthesis ones included, checks
-its arguments, folds its index tuples into uint64 stream keys and realizes
-mu(0,0) once; below it no tuple exists.  Every recursion takes its child
-keys (theta, n, k, ell) and their times from ``_children`` and reads W by
-``_brownian``.  The batch recursion carries one key per row and caches
-nothing; the sub-estimates of a group of resampling indices k run as one
-call on stacked rows, so keys, uniforms, Brownian values and the drift are
-computed once for all of them.
+The value recursion exists once, in ``_mlp_batch``, which runs many
+top-level samples in lockstep; ``mlp_estimate`` is its one-row case.  Each
+entry point, the synthesis ones included, checks its arguments, folds its
+index tuples into uint64 stream keys and realizes mu(0,0) once; below it
+no tuple exists.  The recursion and synthesis take child keys (theta, n,
+k, ell) and their times from ``_children`` and read W by ``_brownian``.
+Rows carry one key each and nothing is cached; the sub-estimates of a
+group of resampling indices k run as one call on stacked rows, so keys,
+uniforms, Brownian values and the drift are computed once for all of them.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def _check_args(problem: TestProblem, tree: NoiseTree, n, m, t, x=None,
     contract (the level-n grid a subgrid of the tree's); return x as float64."""
     for name, v, low in (("n", n, 0), ("m", m, 1), ("K", K, 1)):
         _check_count(name, v, low)
-    if isinstance(t, bool) or not 0 <= t <= tree.T * (1 + 1e-12):
+    if isinstance(t, (bool, np.bool_)) or not 0 <= t <= tree.T * (1 + 1e-12):
         raise ValueError(f"time t = {t!r} is not a number in [0, {tree.T}]")
     if n > tree.grid_levels or tree.grid_size % m ** min(n, 54):  # grid_size <= 2**53
         raise ValueError(f"level n = {n} with m = {m} is off the grid of "
@@ -87,30 +86,12 @@ def _check_args(problem: TestProblem, tree: NoiseTree, n, m, t, x=None,
 
 def mlp_estimate(problem: TestProblem, tree: NoiseTree, theta: ThetaIndex,
                  n: int, m: int, t: float, x: np.ndarray) -> np.ndarray:
-    """Level-n estimate of the state at time t started from x, scalar path."""
+    """Level-n estimate of the state at time t started from x for the
+    stream of theta: the one-row case of the batch recursion."""
     theta = tuple(theta)
     x = _check_args(problem, tree, n, m, t, x, theta)
     key = np.array([theta_key(tree.master_seed, theta)], np.uint64)
-    mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    return _mlp_scalar(problem, tree, key, n, m, t, x, mu0)
-
-
-def _mlp_scalar(problem: TestProblem, tree: NoiseTree, key: np.ndarray,
-                n: int, m: int, t: float, x: np.ndarray, mu0: np.ndarray):
-    """The recursion of ``mlp_estimate`` on checked arguments, for the
-    stream of key, a uint64 array of one stream key."""
-    if n == 0:
-        return np.zeros(problem.d)
-    val = x + _brownian(tree, key, t, m, n)[0] + t * mu0
-    for ell in range(1, n):
-        M = m ** (n - ell)
-        child, times = _children(key, t, n, np.arange(1, M + 1), ell)
-        for c, s in zip(child[:, None], times):
-            hi, lo = [realize(problem.mu_net, np.concatenate(
-                [_mlp_scalar(problem, tree, node, lv, m, s, x, mu0)
-                 for node in (key, c)])) if lv else mu0 for lv in (ell, ell - 1)]
-            val = val + (t / M) * (hi - lo)
-    return val
+    return _estimates(problem, tree, key, n, m, t, x)[0]
 
 
 def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
@@ -166,19 +147,24 @@ def _blocks(n: int, size: int) -> list:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def mlp_estimate_batch(problem: TestProblem, tree: NoiseTree, bases,
-                       n: int, m: int, t: float, x: np.ndarray) -> np.ndarray:
-    """Level-n estimates for the tuples (b,), b in bases, shape (len, d).
-
-    Sample b of the output equals ``mlp_estimate`` with theta = (b,) up to
-    floating-point reassociation in the matrix products.
-    """
-    bases = list(bases)
-    x = _check_args(problem, tree, n, m, t, x, bases)
-    keys = base_keys(tree.master_seed, np.asarray(bases, np.uint64))
+def _estimates(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
+               n: int, m: int, t: float, x: np.ndarray) -> np.ndarray:
+    """``_mlp_batch`` for the streams of keys at the one time t, on checked
+    arguments, with mu(0, 0) realized once."""
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
     return _mlp_batch(problem, tree, keys, n, m, np.full(len(keys), float(t)),
                       x, mu0)
+
+
+def mlp_estimate_batch(problem: TestProblem, tree: NoiseTree, bases,
+                       n: int, m: int, t: float, x: np.ndarray) -> np.ndarray:
+    """Level-n estimates for the tuples (b,), b in bases, one row each,
+    shape (len, d).  A row's last bits may depend on how many rows share
+    a drift call, through the row blocks of its matrix products."""
+    bases = list(bases)
+    x = _check_args(problem, tree, n, m, t, x, bases)
+    keys = base_keys(tree.master_seed, np.asarray(bases, np.uint64))
+    return _estimates(problem, tree, keys, n, m, t, x)
 
 
 def monte_carlo_payoff(problem: TestProblem, tree: NoiseTree, K: int,
@@ -198,8 +184,6 @@ def _mc_payoffs(problem: TestProblem, trees: list, K: int, n: int, m: int,
     x = _check_args(problem, tree, n, m, tree.T, x, K=K)
     bases = np.arange(1, K + 1, dtype=np.uint64)
     keys = np.concatenate([base_keys(o.master_seed, bases) for o in trees])
-    mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    states = _mlp_batch(problem, tree, keys, n, m,
-                        np.full(len(keys), float(tree.T)), x, mu0)
+    states = _estimates(problem, tree, keys, n, m, tree.T, x)
     payoffs = realize(problem.f_net, states)[:, 0].reshape(len(trees), K)
     return [float(np.mean(row)) for row in payoffs]

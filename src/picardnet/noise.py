@@ -115,7 +115,7 @@ class NoiseTree:
             raise ValueError(f"master_seed must be an integer in [0, 2**64), got {s!r}")
         for name, low in (("d", 1), ("grid_levels", 0), ("m", 1)):
             _check_count(name, getattr(self, name), low)
-        if isinstance(self.T, bool) or not 0 < self.T < np.inf:
+        if isinstance(self.T, (bool, np.bool_)) or not 0 < self.T < np.inf:
             raise ValueError(f"T must be finite and > 0, got {self.T!r}")
         if self.m > 1 and (self.grid_levels > 53 or self.grid_size > 2 ** 53):
             raise ValueError(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .calculus import affine_network, scaled_sum
 from .nets import NeuralNetwork, _check_count
+from .selection import _check_constants
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,7 @@ class TestProblem:
             raise ValueError("drift net must map R^2d -> R^d")
         if self.f_net.input_width != self.d or self.f_net.output_width != 1:
             raise ValueError("payoff net must map R^d -> R")
-        if not 0 < self.T < np.inf:
-            raise ValueError(f"T must be finite and > 0, got {self.T!r}")
-        if not 1 <= self.c < np.inf:
-            raise ValueError(f"c must lie in [1, inf), got {self.c!r}")
-        _check_count("r", self.r, 1)
+        _check_constants(self.c, self.r, self.T)
 
 
 def linear_problem(d: int, a: float = 0.0, b: float = -0.5, T: float = 1.0,
@@ -97,6 +94,8 @@ def perturbed_problem(base: TestProblem, eps: float,
         v = np.zeros(d)
         v[0] = 1.0
     v = np.asarray(v, dtype=np.float64)
+    if v.shape != (d,) or not np.isfinite(v).all():
+        raise ValueError(f"v must be a finite vector of shape ({d},)")
     # v * sat(x_1): both hidden units read x_1, with biases 1 and 0
     gate = np.zeros((2, 2 * d))
     gate[:, 0] = 1.0

@@ -11,20 +11,33 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .nets import _check_count
 
 
-def _check_accuracy(d, epsilon) -> None:
-    """Reject d < 1 and epsilon outside (0, 1), naming the argument."""
+def _check_constants(c, r, T) -> None:
+    """Reject c outside [1, inf), r not an integer >= 1 and T not a finite
+    number > 0 (nor a bool), naming the argument."""
+    if not 1 <= c < math.inf:
+        raise ValueError(f"c must lie in [1, inf), got {c!r}")
+    _check_count("r", r, 1)
+    if isinstance(T, (bool, np.bool_)) or not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
+
+
+def _check_accuracy(d, epsilon, c, r, T) -> None:
+    """``_check_constants``, and reject d < 1 and epsilon outside (0, 1)."""
     _check_count("d", d, 1)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_constants(c, r, T)
 
 
 def select_epsilon(d: int, epsilon: float, c: float, r: int,
                    T: float) -> float:
     """Inner accuracy epsilon / (2^r (c d^c)^{r+1} e^{(r+2) c T})."""
-    _check_accuracy(d, epsilon)
+    _check_accuracy(d, epsilon, c, r, T)
     return epsilon / (2 ** r * (c * d ** c) ** (r + 1)
                       * math.exp((r + 2) * c * T))
 
@@ -37,7 +50,7 @@ def _log_level_error(n: float, d: int, c: float, r: int, T: float) -> float:
 
 def select_N(d: int, epsilon: float, c: float, r: int, T: float) -> int:
     """Minimal level n >= 2 whose error expression drops below epsilon/2."""
-    _check_accuracy(d, epsilon)
+    _check_accuracy(d, epsilon, c, r, T)
     target = math.log(epsilon / 2)
     for n in range(2, 10 ** 4 + 1):
         if _log_level_error(n, d, c, r, T) <= target:
@@ -85,7 +98,7 @@ def log_param_bound(d: int, epsilon: float, delta: float, c: float, r: int,
                     T: float) -> float:
     """log of 96 d^{3c} ((2 c d^c)^{r+1} e^{(r+2) c T})^{3c+8+delta}
     C_delta epsilon^{-(3c+8+delta)}."""
-    _check_accuracy(d, epsilon)
+    _check_accuracy(d, epsilon, c, r, T)
     expo = 3 * c + 8 + delta
     return (math.log(96) + 3 * c * math.log(d)
             + expo * ((r + 1) * math.log(2 * c * d ** c) + (r + 2) * c * T)

@@ -132,6 +132,8 @@ class TestAffineNetwork:
         (np.ones((2, 3)), np.zeros(3), 1),       # c of the wrong length
         (np.ones((2, 3)), np.zeros((2, 1)), 1),  # c not a vector
         (np.ones((2, 3)), np.zeros(2), 0),       # no hidden layer
+        (np.array([[1.0, np.nan]]), np.zeros(1), 1),  # NaN in W
+        (np.ones((1, 2)), [np.inf], 1),          # inf in c
     ])
     def test_bad_arguments_rejected(self, W, c, H):
         with pytest.raises(ValueError):

@@ -142,13 +142,13 @@ class TestMlpEstimate:
 
 class TestBatch:
     def test_matches_scalar(self):
+        # Each row against the scalar transcription of its stream.
         prob = linear_problem(2, a=0.2, b=-0.3)
         tree = make_tree(seed=21, d=2, levels=3, m=2)
         x = np.array([1.0, 0.5])
         batch = mlp_estimate_batch(prob, tree, range(1, 9), 3, 2, 1.0, x)
         for i in range(1, 9):
-            scalar = mlp_estimate(prob, make_tree(seed=21, d=2, levels=3,
-                                                  m=2), (i,), 3, 2, 1.0, x)
+            scalar = transcription_oracle(prob, tree, (i,), 3, 2, 1.0, x)
             np.testing.assert_allclose(batch[i - 1], scalar, rtol=1e-9,
                                        atol=1e-12)
 
@@ -264,12 +264,13 @@ def test_drift_blocks_hold_at_most_2_14_values(monkeypatch, prob, n, m, K):
        frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 63 - 1),
        bases=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3))
 def test_batch_matches_scalar_property(d, n, m, frac, seed, bases):
+    # Each row against the scalar transcription of its stream.
     prob = linear_problem(d, a=0.3, b=-0.4)
     tree = NoiseTree(master_seed=seed, T=1.5, d=d, grid_levels=n, m=m)
     t, x = frac * tree.T, np.linspace(-1.0, 1.0, d)
     batch = mlp_estimate_batch(prob, tree, bases, n, m, t, x)
     for row, b in zip(batch, bases):
-        scalar = mlp_estimate(prob, tree, (b,), n, m, t, x)
+        scalar = transcription_oracle(prob, tree, (b,), n, m, t, x)
         scale = max(1.0, float(np.max(np.abs(scalar))))
         assert np.max(np.abs(row - scalar)) <= 1e-8 * scale
 
@@ -328,9 +329,9 @@ def test_estimates_keep_their_bits():
     assert pinned_estimates() == golden.read_text()
 
 
-# Fine grids with a non-dyadic T.  The scalar path used to floor t to a
-# float time and map it back to an index: the first case raised "not on the
-# grid" and the second read the neighbouring index, 3.4e-9 off the batch.
+# Fine grids with a non-dyadic T.  A scalar path that floored t to a float
+# time and mapped it back to an index raised "not on the grid" in the first
+# case and read the neighbouring index, 3.4e-9 off the batch, in the second.
 @pytest.mark.parametrize("m, levels, n, t", [
     (2, 34, 2, 0.089), (2, 53, 2, 0.08653832930594503), (3, 33, 1, 0.07)])
 def test_fine_grid_paths_agree(m, levels, n, t):
@@ -340,6 +341,8 @@ def test_fine_grid_paths_agree(m, levels, n, t):
     scalar = mlp_estimate(prob, tree, (3,), n, m, t, x)
     row = mlp_estimate_batch(prob, tree, [3], n, m, t, x)[0]
     assert scalar.tobytes() == row.tobytes()
+    np.testing.assert_allclose(
+        row, transcription_oracle(prob, tree, (3,), n, m, t, x), rtol=1e-12)
     rep = synthesize_mlp_network(prob, tree, (3,), n, m, t)
     np.testing.assert_allclose(realize(rep.network, x), scalar, rtol=1e-8,
                                atol=1e-8)
@@ -416,13 +419,14 @@ class TestEntryCheck:
         (dict(n=True), "n must", None),
         (dict(m=True), "m must", None),
         (dict(t=True), "time t", TAKE_T),
+        (dict(t=np.True_), "time t", TAKE_T),
         (dict(base=True), "base", TAKE_T),
         (dict(x=(float("nan"),)), "x has shape", ("scalar", "batch", "payoff")),
         (dict(x=(float("inf"),)), "x has shape", ("scalar", "batch", "payoff")),
         (dict(x=(-float("inf"),)), "x has shape", ("scalar", "batch", "payoff")),
     ], ids=["m0", "m3-on-m2-tree", "n-1", "t-above-T", "t-nan", "base-1",
             "x-length-3", "K-2.5", "K-True", "n-True", "m-True", "t-True",
-            "base-True", "x-nan", "x-inf", "x-minus-inf"])
+            "t-numpy-True", "base-True", "x-nan", "x-inf", "x-minus-inf"])
     def test_rejects(self, bad, match, takers):
         calls = entry_points(**bad)
         for name in takers or calls:
@@ -514,16 +518,19 @@ def test_mu0_realized_once_per_call(monkeypatch, module, call):
 
 
 # Nodes of a level-3 call at m = 3, N(3) = 1 + sum_ell 3**(3 - ell) * (pairs
-# at ell and ell - 1): N(0) = N(1) = 1.  The scalar recursion skips level 0
-# (N(2) = 7, N(3) = 67); synthesis builds its zero networks (13 and 121).
-@pytest.mark.parametrize("module, recursion, call, count", [
-    (picardnet.estimator, "_mlp_scalar",
-     lambda p, tr: mlp_estimate(p, tr, (4, 1), 3, 3, 0.8, np.ones(1)), 67),
+# at ell and ell - 1): N(0) = N(1) = 1.  The estimator skips level 0 (N(2) =
+# 7, N(3) = 67) and runs its 67 nodes as rows of 5 calls: the top call, then
+# 18 rows at ell = 1, 6 + 6 at ell = 2, and 36 below the 6 level-2 rows.
+# Synthesis builds its zero networks (13 and 121), one node per call.
+@pytest.mark.parametrize("module, recursion, call, calls, count", [
+    (picardnet.estimator, "_mlp_batch",
+     lambda p, tr: mlp_estimate(p, tr, (4, 1), 3, 3, 0.8, np.ones(1)), 5, 67),
     (picardnet.synthesis, "_mlp_net",
-     lambda p, tr: synthesize_mlp_network(p, tr, (4, 1), 3, 3, 0.8), 121),
+     lambda p, tr: synthesize_mlp_network(p, tr, (4, 1), 3, 3, 0.8), 121,
+     121),
 ], ids=["mlp_estimate", "synthesize_mlp_network"])
 def test_theta_folded_once_at_entry(monkeypatch, module, recursion, call,
-                                    count):
+                                    calls, count):
     # The entry point folds theta into one stream key; every node below it
     # walks uint64 keys and never returns to the tuple API.
     folds, nodes = [], []
@@ -548,7 +555,8 @@ def test_theta_folded_once_at_entry(monkeypatch, module, recursion, call,
     monkeypatch.setattr(module, recursion, recording)
     call(linear_problem(1, a=0.2, b=-0.3), make_tree(seed=4, levels=3, m=3))
     assert folds == [(4, 1)]
-    assert len(nodes) == count
+    assert len(nodes) == calls
+    assert sum(len(key) for key in nodes) == count
     for key in nodes:
         assert isinstance(key, np.ndarray) and key.dtype == np.uint64
-        assert key.shape == (1,)
+        assert key.ndim == 1 and len(key) > 0

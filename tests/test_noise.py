@@ -314,7 +314,7 @@ class TestNoiseTreeValidation:
         ("T", np.nan), ("d", 0), ("m", 0), ("grid_levels", -1),
         ("master_seed", -1), ("master_seed", 2 ** 64),
         ("master_seed", -2 ** 64 + 5), ("master_seed", 5.0),
-        ("master_seed", True), ("T", True)])
+        ("master_seed", True), ("T", True), ("T", np.True_)])
     def test_bad_field_rejected(self, field, value):
         kwargs = dict(master_seed=0, T=1.0, d=1, grid_levels=2, m=2)
         kwargs[field] = value

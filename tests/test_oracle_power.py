@@ -1,0 +1,109 @@
+"""Every one-line fault in a shared rule or in the recursion fails a test
+that reads no golden file.
+
+The estimator's rows, the one-row ``mlp_estimate`` and the synthesized
+networks share the child rule, the grid rule, the key path and the
+Brownian kernel, so comparing them with each other cannot see a fault in
+those rules.  Here each fault is a one-line edit of a library function's
+source, compiled in its module's namespace and patched into every module
+that binds the function, the test modules included.  Then the independent oracles run until one fails:
+the test-side transcription of the recursion, the test-side SplitMix64
+keys, hand-computed grid floors and the Brownian moment tests.  None of
+them reads ``tests/data``.  A fault whose line a refactor removed fails
+here too, so the table moves with the code it targets.
+"""
+
+import inspect
+import textwrap
+from functools import partial
+
+import pytest
+
+import picardnet.estimator
+import picardnet.noise
+import picardnet.synthesis
+import test_estimator
+import test_noise
+
+MODULES = (picardnet.noise, picardnet.estimator, picardnet.synthesis,
+           test_estimator, test_noise)
+
+# (id, module defining the function, function, line fragment, its fault)
+FAULTS = [
+    ("mlp_batch-mu_lo-is-mu0", picardnet.estimator, "_mlp_batch",
+     "mu_lo = mu[rows:] if ell > 1 else mu0", "mu_lo = mu0"),
+    ("mlp_batch-children-first", picardnet.estimator, "_mlp_batch",
+     "both = np.concatenate([np.tile(keys, len(ks)), child])",
+     "both = np.concatenate([child, np.tile(keys, len(ks))])"),
+    ("mlp_batch-weight-1e-7", picardnet.estimator, "_mlp_batch",
+     "val = val + (t / M)[:, None] * c",
+     "val = val + (t / M * (1 + 1e-7))[:, None] * c"),
+    ("children-ell-before-k", picardnet.estimator, "_children",
+     "fold_keys(fold_keys(fold_keys(keys, n), ks[:, None]), ell)",
+     "fold_keys(fold_keys(fold_keys(keys, n), ell), ks[:, None])"),
+    ("children-one-minus-u", picardnet.estimator, "_children",
+     "uniform_time_batch(child) *", "(1 - uniform_time_batch(child)) *"),
+    ("grid_index-rounds-up", picardnet.estimator, "_grid_index",
+     "np.floor(", "np.ceil("),
+    ("brownian-coarser-level", picardnet.estimator, "_brownian",
+     "np.atleast_1d(t), m, n)", "np.atleast_1d(t), m, max(n - 1, 0))"),
+    ("bridge-weights-1.05", picardnet.noise, "_bridge_sum",
+     "* scale[:live]", "* scale[:live] * 1.05"),
+    ("fold_keys-adds", picardnet.noise, "fold_keys",
+     "keys ^ _mix_array(", "keys + _mix_array("),
+]
+
+# Tests that read no golden file, cheapest first.
+E, N = test_estimator, test_noise
+DETECTORS = [
+    E.TestFloorToGrid().test_examples,
+    E.TestFloorToGrid().test_grid_points_are_fixed,
+    N.TestKeys().test_array_element_folds_without_warning,
+    N.TestKeys().test_theta_key_matches_reference,
+    N.TestKeys().test_batch_matches_scalar,
+    E.TestMlpEstimate().test_level_one_formula,
+    E.TestMlpEstimate().test_against_independent_transcription,
+    E.TestMlpEstimate().test_transcription_level_three,
+    partial(E.test_fine_grid_paths_agree, 2, 34, 2, 0.089),
+    E.TestBatch().test_matches_scalar,
+    N.TestBrownian().test_increments_independent_of_grid_position,
+    N.TestBrownian().test_gaussian_moments,
+    N.TestBridgeOffPowerOfTwoGrid().test_variance_and_uncorrelated_increments,
+]
+
+
+def faulty(module, name, line, fault):
+    """``module.name`` recompiled with its one occurrence of line replaced
+    by fault; its globals are the module's, so it calls the patched names."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(line) == 1, f"{line!r} is not one line of {name}"
+    namespace = {}
+    exec(compile(source.replace(line, fault), f"<fault in {name}>", "exec"),
+         vars(module), namespace)
+    return namespace[name]
+
+
+def first_detector():
+    """The name of the first detector that fails, or None."""
+    for detect in DETECTORS:
+        try:
+            detect()
+        except (Exception, pytest.fail.Exception):
+            return getattr(detect, "__qualname__", repr(detect))
+    return None
+
+
+def test_detectors_pass_without_fault():
+    assert first_detector() is None
+
+
+@pytest.mark.parametrize("module, name, line, fault",
+                         [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
+def test_fault_is_detected(monkeypatch, module, name, line, fault):
+    original, replacement = (getattr(module, name),
+                             faulty(module, name, line, fault))
+    bound = [mod for mod in MODULES if getattr(mod, name, None) is original]
+    for mod in bound:
+        monkeypatch.setattr(mod, name, replacement)
+    assert module in bound
+    assert first_detector() is not None, f"no oracle detects {fault!r}"

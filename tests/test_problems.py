@@ -28,12 +28,24 @@ def test_non_finite_or_nonpositive_horizon_rejected(T):
     (lambda: problems.constant_problem(0, 1.0), "d"),
     (lambda: problems.constant_problem(True, 1.0), "d"),
     (lambda: problems.constant_problem(1, np.nan), "value"),
+    (lambda: problems.linear_problem(1, T=True), "T"),
+    (lambda: problems.linear_problem(1, T=np.True_), "T"),
+    (lambda: problems.constant_problem(1, 1.0, T=np.True_), "T"),
+    (lambda: problems.perturbed_problem(problems.linear_problem(1), 0.1,
+                                        v=[np.nan]), "v"),
+    (lambda: problems.perturbed_problem(problems.linear_problem(2), 0.1,
+                                        v=[np.inf, 0.0]), "v"),
+    (lambda: problems.perturbed_problem(problems.linear_problem(2), 0.1,
+                                        v=[1.0]), "v"),
 ], ids=["linear-d0", "linear-d-True", "linear-d1.5", "linear-a-nan",
         "linear-b-inf", "linear-w-nan", "linear-c0-minus-inf", "constant-d0",
-        "constant-d-True", "constant-value-nan"])
+        "constant-d-True", "constant-value-nan", "linear-T-True",
+        "linear-T-numpy-True", "constant-T-numpy-True", "perturbed-v-nan",
+        "perturbed-v-inf", "perturbed-v-length-1"])
 def test_problem_builders_reject_bad_arguments(build, name):
     # linear_problem(0) raised IndexError, linear_problem(True) TypeError,
-    # and a NaN a, b, w, c0 or value built a NaN network.
+    # a NaN a, b, w, c0, value or v built a NaN network, and a bool T
+    # became the horizon.
     with pytest.raises(ValueError, match=f"^{name} must"):
         build()
 

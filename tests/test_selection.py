@@ -1,6 +1,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from picardnet.selection import (_log_C_delta_term, _log_level_error,
@@ -122,8 +123,19 @@ class TestParamBound:
     (log_param_bound, dict(d=0), "d"),
     (log_param_bound, dict(epsilon=0.0), "epsilon"),
     (log_param_bound, dict(epsilon=float("nan")), "epsilon"),
+    (select_N, dict(T=-1.0), "T"),
+    (select_N, dict(c=float("nan")), "c"),
+    (select_N, dict(r=0), "r"),
+    (select_epsilon, dict(T=float("nan")), "T"),
+    (select_epsilon, dict(T=np.True_), "T"),
+    (select_epsilon, dict(r=1.5), "r"),
+    (log_param_bound, dict(r=0), "r"),
+    (log_param_bound, dict(c=0.5), "c"),
+    (log_param_bound, dict(T=float("inf")), "T"),
 ], ids=["eps-d0", "eps-d1.5", "eps-eps0", "N-eps0", "N-eps1", "N-d0",
-        "bound-d0", "bound-eps0", "bound-eps-nan"])
+        "bound-d0", "bound-eps0", "bound-eps-nan", "N-T-1", "N-c-nan", "N-r0",
+        "eps-T-nan", "eps-T-numpy-True", "eps-r1.5", "bound-r0", "bound-c0.5",
+        "bound-T-inf"])
 def test_bad_selection_input_rejected(select, kwargs, name):
     args = dict(d=1, epsilon=0.5, c=1.0, r=1, T=0.1)
     if select is log_param_bound:
