@@ -10,11 +10,11 @@ states of one such run, so a single simulation serves all of them.
 
 The solver runs feature-major: a problem's states are held as (d, M), and
 each Euler step fills one (2d, M, J) block of (own, partner) pairs and runs
-the drift layers on its (2d, M*J) view as h = W @ h + B.  It does not call
-``realize``: on (M*J, 2d) rows, ``realize``'s row-major ``h @ W.T`` leaves
-numpy's inner loops runs only as long as a layer is wide, and ``realize``
-stays row-major because a feature-major product would move the bits of the
-estimator's values.
+the drift layers on its (2d, M*J) view as h = W @ h + B (``realize``'s
+layer step, feature-major).  On (M*J, 2d) rows, ``realize``'s row-major
+``h @ W.T`` leaves numpy's inner loops runs only as long as a layer is wide,
+and ``realize`` stays row-major because a feature-major product would move
+the bits of the estimator's values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import _check_count, realize
+from .nets import _check_count, _forward, realize
 from .problems import TestProblem
 
 
@@ -62,8 +62,8 @@ def simulate_particles(problems: list[TestProblem], cfg: ParticleConfig,
     Each step draws the (M, J) partner indices, J = min(partner_count, M),
     then the (M, d) increments.  The drift of particle i is the mean over
     its J partners j of mu(X_i, X_j), evaluated feature-major on one
-    (2d, M*J) pair block per problem, not through ``realize`` (see the
-    module docstring).  The states are returned as C-contiguous (M, d).
+    (2d, M*J) pair block per problem (see the module docstring).  The
+    states are returned as C-contiguous (M, d).
     """
     if not problems:
         raise ValueError("problems must list at least one problem")
@@ -84,13 +84,7 @@ def simulate_particles(problems: list[TestProblem], cfg: ParticleConfig,
         for idx, (prob, st) in enumerate(zip(problems, states)):
             pairs[:d] = st[:, :, None]
             np.take(st, partners, axis=1, out=pairs[d:])
-            h = pairs.reshape(2 * d, M * J)
-            last = len(prob.mu_net.layers) - 1
-            for n, (W, B) in enumerate(prob.mu_net.layers):
-                h = W @ h
-                h += B[:, None]
-                if n != last:
-                    np.maximum(h, 0.0, out=h)
+            h = _forward(prob.mu_net, pairs.reshape(2 * d, M * J), False)
             drift = h.reshape(d, M, J).mean(axis=2)
             states[idx] = st + dt * drift + dW
     return [np.ascontiguousarray(st.T) for st in states]

@@ -13,15 +13,21 @@ network is its case W = I.  Each network operation is exact in real
 arithmetic: the realization of the constructed network equals the
 corresponding combination of the inputs' realizations, and its width vector
 is exactly the operator applied to the inputs' width vectors.
+
+``_layout`` lays weights side by side: dense up to 2^16 entries of dense
+blocks, else as a triplet layer (``nets._Triplet``) of the blocks' entries,
+so a synthesized network holds its nonzeros, not millions of zeros.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
 
-from .nets import DimVector, NeuralNetwork, _check_count, dims
+from .nets import (DimVector, NeuralNetwork, _Triplet, _check_count, _product,
+                   dims)
 
 
 # ---------------------------------------------------------------------------
@@ -68,22 +74,44 @@ def identity_dims(d: int, length: int) -> DimVector:
 def _readonly(layers) -> tuple:
     """Mark every array of ``layers`` read-only, in place, and return them as
     a tuple.  Each array is either fresh or taken from an input network, so
-    ``NeuralNetwork`` can share all of them without copying."""
+    ``NeuralNetwork`` can share all of them without copying (a triplet's
+    are read-only from its construction)."""
     for W, B in layers:
-        W.flags.writeable = False
-        B.flags.writeable = False
+        for a in (B,) if isinstance(W, _Triplet) else (W, B):
+            a.flags.writeable = False
     return tuple(layers)
 
 
-def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense block-diagonal matrix with the 2-D ``blocks`` along its diagonal."""
-    out = np.zeros((sum(b.shape[0] for b in blocks),
-                    sum(b.shape[1] for b in blocks)))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
+# The size rule: all-dense layouts of at most this many entries stay dense.
+_DENSE_ENTRIES = 2 ** 16
+
+
+def _entries(W) -> tuple:
+    """(rows, cols, vals) of W; a dense W's entries are those not +0.0."""
+    if isinstance(W, _Triplet):
+        return W.rows, W.cols, W.vals
+    rows, cols = np.nonzero(W.view(np.int64))
+    return rows, cols, W[rows, cols]
+
+
+def _layout(blocks: Sequence, down: bool = True, across: bool = True):
+    """The 2-D ``blocks`` in order, each below the one before if ``down`` and
+    right of it if ``across`` (both: block-diagonal).  Dense if every block
+    is dense and the result has at most _DENSE_ENTRIES entries, else the
+    triplet of the blocks' entries at their offsets."""
+    r = list(accumulate((b.shape[0] * down for b in blocks), initial=0))
+    c = list(accumulate((b.shape[1] * across for b in blocks), initial=0))
+    shape = (r[-1] or blocks[0].shape[0], c[-1] or blocks[0].shape[1])
+    if (shape[0] * shape[1] <= _DENSE_ENTRIES
+            and all(isinstance(b, np.ndarray) for b in blocks)):
+        out = np.zeros(shape)
+        for b, i, j in zip(blocks, r, c):
+            out[i:i + b.shape[0], j:j + b.shape[1]] = b
+        return out
+    rows, cols, vals = zip(*map(_entries, blocks))
+    return _Triplet(np.concatenate([a + i for a, i in zip(rows, r)]),
+                    np.concatenate([a + j for a, j in zip(cols, c)]),
+                    np.concatenate(vals), shape)
 
 
 def _side_by_side(name: str, layer_lists: Sequence, stacked: bool = True) -> list:
@@ -93,8 +121,7 @@ def _side_by_side(name: str, layer_lists: Sequence, stacked: bool = True) -> lis
         raise ValueError(f"{name} of an empty sequence")
     if stacked and len({(len(ls), ls[0][0].shape[1]) for ls in layer_lists}) > 1:
         raise ValueError(f"{name} needs same depth and input width")
-    return [((np.vstack if i == 0 and stacked else _block_diag)(
-                [ls[i][0] for ls in layer_lists]),
+    return [(_layout([ls[i][0] for ls in layer_lists], across=i > 0 or not stacked),
              np.concatenate([ls[i][1] for ls in layer_lists]))
             for i in range(len(layer_lists[0]))]
 
@@ -112,14 +139,14 @@ def _sums_side_by_side(sums: Sequence[tuple], stacked: bool = True) -> tuple:
             raise ValueError(f"scaled_sum coefficients must be finite, got {coeffs!r}")
     return (_side_by_side("scaled_sum", [ls[:-1] for lists, _ in sums for ls in lists],
                           stacked),
-            [(np.hstack([h * ls[-1][0] for h, ls in zip(cs, lists)]),
+            [(_layout([h * ls[-1][0] for h, ls in zip(cs, lists)], down=False),
               sum(h * ls[-1][1] for h, ls in zip(cs, lists))) for lists, cs in sums])
 
 
 def _split(W: np.ndarray, B: np.ndarray) -> tuple:
     """The layer (W; -W), (B; -B): its ReLU outputs (relu(u), relu(-u))
     carry u = W x + B."""
-    return np.vstack([W, -W]), np.concatenate([B, -B])
+    return _layout([W, -W], across=False), np.concatenate([B, -B])
 
 
 def _unsplit_tail(q: int, c: np.ndarray, hidden_layers: int) -> list:
@@ -172,7 +199,7 @@ def _then(f_net: NeuralNetwork, W: np.ndarray, B: np.ndarray) -> tuple:
         raise ValueError(f"compose: f input width {f_net.input_width} != "
                          f"g output width {W.shape[0]}")
     Wf, Bf = f_net.layers[0]
-    return (_split(W, B), (np.hstack([Wf, -Wf]), Bf)) + f_net.layers[1:]
+    return (_split(W, B), (_layout([Wf, -Wf], down=False), Bf)) + f_net.layers[1:]
 
 
 def compose(f_net: NeuralNetwork, g_net: NeuralNetwork) -> NeuralNetwork:
@@ -223,7 +250,7 @@ def affine_wrap(net: NeuralNetwork, lam: float,
             raise ValueError(f"{name} must be finite, got {v!r}")
     W1, B1 = net.layers[0]
     WL, BL = net.layers[-1]
-    layers = ((W1, W1 @ b + B1),) + net.layers[1:-1] + ((lam * WL, lam * (BL + a)),)
+    layers = ((W1, _product(W1, b) + B1),) + net.layers[1:-1] + ((lam * WL, lam * (BL + a)),)
     return NeuralNetwork(_readonly(layers))
 
 

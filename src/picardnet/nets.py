@@ -6,12 +6,16 @@ the last one, which stays affine.  Networks are values: all arrays are
 read-only, and every operation that "modifies" a network builds a new one.
 A read-only float64 array that owns its data is taken as it is, so networks
 share such layers; any other array (a caller's writeable array, a view, another
-dtype) is copied once at construction.
+dtype) is copied once at construction, and must be finite.
+
+A weight is a dense matrix or a calculus-built ``_Triplet`` (entries and a
+shape, taken unchecked); ``np.asarray(W)`` is the dense view of either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +53,50 @@ def dim_supnorm(v: DimVector) -> int:
     return max(v)
 
 
+class _Triplet:
+    """A weight matrix of ``shape`` stored as read-only 1-D ``rows``, ``cols``
+    and ``vals``, every other entry +0.0; only the calculus builds one.
+    Scaling and negation keep the indices; ``np.asarray`` gives the dense
+    view, and ``csr``, built on first use, is the form products use."""
+
+    __array_ufunc__ = None  # so h * W defers to __rmul__, not to a dense W
+    ndim = 2
+
+    def __init__(self, rows, cols, vals, shape):
+        for a in (rows, cols, vals):
+            a.flags.writeable = False
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+        self.size = shape[0] * shape[1]
+        self.nbytes = rows.nbytes + cols.nbytes + vals.nbytes
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape, dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    @cached_property
+    def csr(self):
+        from scipy.sparse import csr_array  # 1.8 MB RSS: only if a triplet runs
+        keep = self.vals != 0  # a -0.0 adds nothing to a sum of finite terms
+        return csr_array((self.vals[keep], (self.rows[keep], self.cols[keep])),
+                         shape=self.shape)
+
+    def __mul__(self, h):
+        return _Triplet(self.rows, self.cols, h * self.vals, self.shape)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
-    if (isinstance(a, np.ndarray) and a.dtype == np.float64
-            and not a.flags.writeable and a.flags.owndata):
+    if isinstance(a, _Triplet) or (isinstance(a, np.ndarray) and a.dtype == np.float64
+                                   and not a.flags.writeable and a.flags.owndata):
         return a
     a = np.array(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("weights and biases must be finite")
     a.flags.writeable = False
     return a
 
@@ -105,13 +148,33 @@ def param_count(net: NeuralNetwork) -> int:
     return sum(W.shape[0] * (W.shape[1] + 1) for W, _ in net.layers)
 
 
+def _product(W, h: np.ndarray, rowwise: bool = False) -> np.ndarray:
+    """W times the features of h: ``h @ W.T`` on the rows of h if rowwise,
+    else ``W @ h`` on its first axis (h is 1-D or 2-D).  A triplet's product
+    by its ``csr`` needs the memory of the dense input and output only."""
+    if isinstance(W, np.ndarray):
+        return h @ W.T if rowwise else W @ h
+    return (W.csr @ h.T).T if rowwise else W.csr @ h
+
+
+def _forward(net: NeuralNetwork, h: np.ndarray, rowwise: bool) -> np.ndarray:
+    """The layers of net on the features of h (``_product``): each adds its
+    bias and applies the ReLU in place on its product, a fresh array."""
+    last = len(net.layers) - 1
+    for n, (W, B) in enumerate(net.layers):
+        h = _product(W, h, rowwise)
+        h += B if rowwise else B.reshape((-1,) + (1,) * (h.ndim - 1))
+        if n != last:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
 def realize(net: NeuralNetwork, x: np.ndarray) -> np.ndarray:
     """Forward pass.
 
     ``x`` may be a single input vector of length k_0 or a batch of shape
     (batch, k_0); the output has matching shape with k_{H+1} columns.
-    Each layer adds its bias and applies the ReLU in place on its product,
-    a fresh array, so ``x`` is never written.
+    ``x`` is never written.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 and net.input_width == 1:
@@ -119,29 +182,21 @@ def realize(net: NeuralNetwork, x: np.ndarray) -> np.ndarray:
     if not 1 <= x.ndim <= 2 or x.shape[-1] != net.input_width:
         raise ValueError(f"input of shape {x.shape} is not (k_0,) or "
                          f"(batch, k_0) with k_0={net.input_width}")
-    batched = x.ndim == 2
-    h = x
-    last = len(net.layers) - 1
-    for n, (W, B) in enumerate(net.layers):
-        h = h @ W.T if batched else W @ h
-        h += B
-        if n != last:
-            np.maximum(h, 0.0, out=h)
-    return h
+    return _forward(net, x, x.ndim == 2)
 
 
 def network_to_text(net: NeuralNetwork) -> str:
     """Plain-text form: dims line, then per layer the rows of W then B."""
     lines = [" ".join(str(w) for w in dims(net))]
     for W, B in net.layers:
-        for row in W:
+        for row in np.asarray(W):
             lines.append(" ".join(repr(float(v)) for v in row))
         lines.append(" ".join(repr(float(v)) for v in B))
     return "\n".join(lines) + "\n"
 
 
 def network_from_text(text: str) -> NeuralNetwork:
-    """Inverse of :func:`network_to_text`."""
+    """Inverse of :func:`network_to_text`; non-finite values are rejected."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     widths = [int(tok) for tok in lines[0].split()] if lines else []
     if len(widths) < 3:
@@ -160,7 +215,5 @@ def network_from_text(text: str) -> NeuralNetwork:
         pos += rows
         B = np.array([float(t) for t in lines[pos].split()])
         pos += 1
-        if not (np.isfinite(W).all() and np.isfinite(B).all()):
-            raise ValueError(f"layer {n}: weights and biases must be finite")
         layers.append((W, B))
     return NeuralNetwork(tuple(layers))

@@ -76,6 +76,7 @@ def log_C_delta(delta: float, c: float, T: float) -> float:
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    _check_constants(c, 1, T)  # r does not enter C_delta
     q = 8 + delta
 
     def slope(n):

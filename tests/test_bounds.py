@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from picardnet.bounds import (BoundCheckResult, ParticleConfig,
                               check_perturbation_bounds, mlp_error_bound,
                               particle_mean_payoff, simulate_particles)
 from picardnet.config import ExperimentConfig
-from picardnet.estimator import monte_carlo_payoff
-from picardnet.nets import realize
+from picardnet.estimator import mlp_estimate, monte_carlo_payoff
+from picardnet.nets import NeuralNetwork, _Triplet, realize
 from picardnet.noise import NoiseTree
 from picardnet.problems import linear_problem, perturbed_problem
 from picardnet.suites import run_bounds_suite
@@ -56,6 +58,58 @@ def test_states_match_row_major_oracle(d, wide, partner_count):
         assert g.shape == (200, d) and g.flags.c_contiguous
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
+
+def test_triplet_drift_matches_its_dense_view():
+    # At d = 128 the perturbed drift's stacked first layer, (258, 256), is
+    # past the calculus's size rule and is a _Triplet.  simulate_particles
+    # used to apply it as a dense matrix, which raised a broadcast error.
+    prob, _ = perturbed_problem(linear_problem(128, a=0.2), 0.1)
+    assert isinstance(prob.mu_net.layers[0][0], _Triplet)
+    dense = dataclasses.replace(prob, mu_net=NeuralNetwork(tuple(
+        (np.asarray(W), B) for W, B in prob.mu_net.layers)))
+    cfg = ParticleConfig(particles=20, euler_steps=5, master_seed=4,
+                         partner_count=4)
+    x = np.linspace(0.5, 1.0, 128)
+    got, want = simulate_particles([prob, dense], cfg, x)
+    assert got.shape == (20, 128) and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    tree = NoiseTree(master_seed=2, T=prob.T, d=128, grid_levels=2, m=2)
+    got, want = (mlp_estimate(p, tree, (1,), 2, 2, 0.7, x)
+                 for p in (prob, dense))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+
+def traced_peak(f) -> int:
+    """Bytes that f() allocates at its peak, by tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_triplet_drift_peak_stays_near_its_dense_peak():
+    # The triplet layer step used to gather its inputs for every row and
+    # stored entry at once: 33,026 entries (514 nonzero) per row of this
+    # drift, about 130 times the dense step's (rows, 258) output.
+    prob, _ = perturbed_problem(linear_problem(128, a=0.2), 0.1)
+    dense = dataclasses.replace(prob, mu_net=NeuralNetwork(tuple(
+        (np.asarray(W), B) for W, B in prob.mu_net.layers)))
+    x = np.random.default_rng(3).standard_normal((300, 256))
+    cfg = ParticleConfig(particles=30, euler_steps=2, master_seed=4,
+                         partner_count=10)
+    x0 = np.linspace(0.5, 1.0, 128)
+    realize(prob.mu_net, x[:2])  # builds the layer's cached sparse form
+    for run in (lambda p: realize(p.mu_net, x),
+                lambda p: simulate_particles([p], cfg, x0)):
+        assert traced_peak(lambda: run(prob)) <= 1.5 * traced_peak(lambda: run(dense))
 
 class TestParticleMeanPayoff:
     def test_driftless(self):

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from scipy.linalg import block_diag
 
-from picardnet.calculus import (_block_diag, affine_network, affine_wrap,
+import picardnet.calculus
+from picardnet.calculus import (_layout, affine_network, affine_wrap,
                                 compose, dim_compose, dim_merge, dim_sum,
                                 extend_depth, identity_dims, identity_network,
                                 merge, scaled_sum, zero_network)
-from picardnet.nets import DimVector, dim_supnorm, dims, realize
+from picardnet.nets import DimVector, _Triplet, dim_supnorm, dims, realize
 
 from test_nets import random_net
 
@@ -372,17 +373,25 @@ class TestSharing:
         rng = np.random.default_rng(19)
         f, g = random_net(rng, (3, 4, 2)), random_net(rng, (2, 5, 3))
         h = random_net(rng, (2, 2, 3))
+        wide = random_net(rng, (2, 200, 200, 1))  # merged: a triplet layer
         return [compose(f, g), merge([g, h]), scaled_sum([g, h], [0.5, -2.0]),
                 affine_wrap(g, 1.5, np.ones(2), np.ones(3)),
                 extend_depth(g, 0), extend_depth(g, 3),
-                identity_network(2, 3), zero_network(2, 3, 4)]
+                identity_network(2, 3), zero_network(2, 3, 4),
+                merge([wide, wide])]
 
     def test_every_array_read_only(self):
+        triplets = 0
         for net in self._results():
             for W, B in net.layers:
-                assert not W.flags.writeable and not B.flags.writeable
-                with pytest.raises(ValueError):
-                    W[0, 0] = 1.0
+                arrays = [W, B]
+                if isinstance(W, _Triplet):
+                    arrays, triplets = [W.rows, W.cols, W.vals, B], triplets + 1
+                for a in arrays:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a.flat[0] = 1
+        assert triplets > 0
 
     def test_unchanged_layers_shared(self):
         rng = np.random.default_rng(20)
@@ -401,9 +410,28 @@ class TestSharing:
                                           g.layers[0]))
 
 
-def test_block_diag_matches_scipy():
+def test_block_diag_matches_scipy(monkeypatch):
+    # Both layouts, compared bitwise with scipy's block_diag and numpy's
+    # stacks, on blocks that hold -0.0 and +0.0: a dense block's -0.0 is an
+    # entry of its triplets, so the dense view keeps it.
     rng = np.random.default_rng(21)
-    for _ in range(50):
-        blocks = [rng.standard_normal(tuple(rng.integers(1, 6, 2)))
-                  for _ in range(int(rng.integers(1, 5)))]
-        np.testing.assert_array_equal(_block_diag(blocks), block_diag(*blocks))
+
+    def block(rows, cols):
+        b = rng.standard_normal((rows, cols))
+        b[rng.random(b.shape) < 0.3] = -0.0
+        b[rng.random(b.shape) < 0.3] = 0.0
+        return b
+
+    for entries, kind in ((2 ** 16, np.ndarray), (0, _Triplet)):
+        monkeypatch.setattr(picardnet.calculus, "_DENSE_ENTRIES", entries)
+        for _ in range(50):
+            count, (r, c) = int(rng.integers(1, 5)), rng.integers(1, 6, 2)
+            blocks = [block(*rng.integers(1, 6, 2)) for _ in range(count)]
+            tall = [block(int(rng.integers(1, 6)), c) for _ in range(count)]
+            wide = [block(r, int(rng.integers(1, 6))) for _ in range(count)]
+            for got, want in ((_layout(blocks), block_diag(*blocks)),
+                              (_layout(tall, across=False), np.vstack(tall)),
+                              (_layout(wide, down=False), np.hstack(wide))):
+                assert isinstance(got, kind)
+                assert got.shape == want.shape
+                assert np.asarray(got).tobytes() == want.tobytes()

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardnet.calculus import identity_network
-from picardnet.nets import (DimVector, NeuralNetwork, _check_count,
-                            dim_supnorm, dims, network_from_text,
+from picardnet.nets import (DimVector, NeuralNetwork, _Triplet, _check_count,
+                            _forward, dim_supnorm, dims, network_from_text,
                             network_to_text, param_count, realize, relu)
 
 
@@ -262,6 +262,49 @@ class TestSharing:
         view = NeuralNetwork(((W[:, :1], B), net.layers[1]))
         assert view.layers[0][0].base is None
         assert view.layers[0][1] is B
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_non_finite_caller_arrays_rejected(where, bad):
+    # A NaN weight used to build a network that realizes NaN.
+    W, B = np.ones((1, 1)), np.zeros(1)
+    (W if where == "weight" else B)[0] = bad
+    with pytest.raises(ValueError, match="^weights and biases must be finite"):
+        NeuralNetwork(((W, B), (np.ones((1, 1)), np.zeros(1))))
+
+
+def triplet_of(W):
+    rows, cols = np.nonzero(W)
+    return _Triplet(rows, cols, W[rows, cols], W.shape)
+
+
+class TestTriplet:
+    def test_dense_view_and_sizes(self):
+        W = np.array([[0.0, 2.0, 0.0], [-0.0, 0.0, -3.0]])
+        T = triplet_of(W)
+        assert np.asarray(T).tobytes() == np.where(W == 0, 0.0, W).tobytes()
+        assert T.shape == (2, 3) and T.size == 6 and T.nbytes == 3 * 2 * 8
+        assert param_count(NeuralNetwork(((T, np.zeros(2)),
+                                          (np.ones((1, 2)), np.zeros(1))))) == 11
+        for scaled in (-T, 2.0 * T, np.float64(2.0) * T, T * 2.0):
+            assert isinstance(scaled, _Triplet) and scaled.rows is T.rows
+        np.testing.assert_array_equal(np.asarray(np.float64(-2.0) * T), -2.0 * W)
+
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_realize_matches_dense_view(self, density):
+        rng = np.random.default_rng(5)
+        net = random_net(rng, (4, 7, 6, 3))
+        sparse = [(W * (rng.random(W.shape) < density), B)
+                  for W, B in net.layers]
+        dense = NeuralNetwork(tuple(sparse))
+        triplets = NeuralNetwork(tuple((triplet_of(W), B) for W, B in sparse))
+        x = rng.standard_normal((5, 4))
+        for got, want in ((realize(triplets, x), realize(dense, x)),
+                          (realize(triplets, x[0]), realize(dense, x[0])),
+                          (_forward(triplets, x.T, False), realize(dense, x).T)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_, 2.0, "2", None])

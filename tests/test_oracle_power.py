@@ -8,7 +8,10 @@ those rules.  Here each fault is a one-line edit of a library function's
 source, compiled in its module's namespace and patched into every module
 that binds the function, the test modules included.  Then the independent oracles run until one fails:
 the test-side transcription of the recursion, the test-side SplitMix64
-keys, hand-computed grid floors and the Brownian moment tests.  None of
+keys, hand-computed grid floors, the Brownian moment tests, the calculus
+tests against the combinations of their inputs' realizations (also with
+every layout stored as triplets), and the synthesized networks against the
+estimator and against their build from public calculus functions.  None of
 them reads ``tests/data``.  A fault whose line a refactor removed fails
 here too, so the table moves with the code it targets.
 """
@@ -19,14 +22,17 @@ from functools import partial
 
 import pytest
 
+import picardnet.calculus
 import picardnet.estimator
 import picardnet.noise
 import picardnet.synthesis
+import test_calculus
 import test_estimator
 import test_noise
+import test_synthesis
 
-MODULES = (picardnet.noise, picardnet.estimator, picardnet.synthesis,
-           test_estimator, test_noise)
+MODULES = (picardnet.noise, picardnet.estimator, picardnet.calculus,
+           picardnet.synthesis, test_calculus, test_estimator, test_noise)
 
 # (id, module defining the function, function, line fragment, its fault)
 FAULTS = [
@@ -51,10 +57,31 @@ FAULTS = [
      "* scale[:live]", "* scale[:live] * 1.05"),
     ("fold_keys-adds", picardnet.noise, "fold_keys",
      "keys ^ _mix_array(", "keys + _mix_array("),
+    ("drift-rows-reversed", picardnet.estimator, "_drift",
+     "realize(mu_net, inputs[b])", "realize(mu_net, inputs[b][::-1])"),
+    ("split-bias-not-negated", picardnet.calculus, "_split",
+     "np.concatenate([B, -B])", "np.concatenate([B, B])"),
+    ("side_by_side-biases-reversed", picardnet.calculus, "_side_by_side",
+     "np.concatenate([ls[i][1] for ls in layer_lists])",
+     "np.concatenate([ls[i][1] for ls in layer_lists[::-1]])"),
+    ("composed_sums-payoffs-reversed", picardnet.calculus, "_composed_sums",
+     "[_then(f_net, *o) for o in outs]", "[_then(f_net, *o) for o in outs[::-1]]"),
+    ("layout-column-offset-not-added", picardnet.calculus, "_layout",
+     "np.concatenate([a + j for a, j in zip(cols, c)])", "np.concatenate(cols)"),
 ]
 
+
+def all_triplets(detect):
+    """detect, run with the size rule at 0: every layout is a triplet."""
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(picardnet.calculus, "_DENSE_ENTRIES", 0)
+            detect()
+    run.__qualname__ = f"all_triplets({detect.__qualname__})"
+    return run
+
 # Tests that read no golden file, cheapest first.
-E, N = test_estimator, test_noise
+C, E, N, S = test_calculus, test_estimator, test_noise, test_synthesis
 DETECTORS = [
     E.TestFloorToGrid().test_examples,
     E.TestFloorToGrid().test_grid_points_are_fixed,
@@ -69,6 +96,15 @@ DETECTORS = [
     N.TestBrownian().test_increments_independent_of_grid_position,
     N.TestBrownian().test_gaussian_moments,
     N.TestBridgeOffPowerOfTwoGrid().test_variance_and_uncorrelated_increments,
+    C.TestMerge().test_concatenation_oracle,
+    C.TestCompose().test_dims_law_and_equivalence,
+    all_triplets(C.TestScaledSum().test_three_way_oracle),
+    all_triplets(C.TestMerge().test_concatenation_oracle),
+    partial(S.TestMlpSynthesis().test_level_two_matches_estimator, 1),
+    S.TestMcSynthesis().test_matches_monte_carlo,
+    # A linear payoff averages the K sums symmetrically, so a fault that
+    # permutes them needs the public-API build's bytes to show.
+    partial(S.test_mc_network_bytes_equal_public_api_oracle, "linear", 1, 2, 2),
 ]
 
 

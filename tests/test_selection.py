@@ -132,14 +132,22 @@ class TestParamBound:
     (log_param_bound, dict(r=0), "r"),
     (log_param_bound, dict(c=0.5), "c"),
     (log_param_bound, dict(T=float("inf")), "T"),
+    # log_C_delta used to return nan, 1.4e14, -2.68 and 1.7e56 for these.
+    (log_C_delta, dict(c=float("nan")), "c"),
+    (log_C_delta, dict(c=0.5), "c"),
+    (log_C_delta, dict(T=float("nan")), "T"),
+    (log_C_delta, dict(T=-1.0), "T"),
+    (log_C_delta, dict(T=True), "T"),
 ], ids=["eps-d0", "eps-d1.5", "eps-eps0", "N-eps0", "N-eps1", "N-d0",
         "bound-d0", "bound-eps0", "bound-eps-nan", "N-T-1", "N-c-nan", "N-r0",
         "eps-T-nan", "eps-T-numpy-True", "eps-r1.5", "bound-r0", "bound-c0.5",
-        "bound-T-inf"])
+        "bound-T-inf", "C-c-nan", "C-c0.5", "C-T-nan", "C-T-1", "C-T-True"])
 def test_bad_selection_input_rejected(select, kwargs, name):
     args = dict(d=1, epsilon=0.5, c=1.0, r=1, T=0.1)
     if select is log_param_bound:
         args["delta"] = 0.5
+    if select is log_C_delta:
+        args = dict(delta=0.5, c=1.0, T=0.1)
     args.update(kwargs)
     with pytest.raises(ValueError, match=f"^{name} must"):
         select(**args)
