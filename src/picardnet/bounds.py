@@ -165,9 +165,10 @@ def brownian_moment_check(d: int, p: int, r: int, t: float = 1.0,
                           samples: int = 10 ** 5,
                           seed: int = 0) -> BoundCheckResult:
     """Empirical L^{pr} norm of ||W(t)|| against sqrt(t (d + 2pr))."""
-    for name, value in (("d", d), ("p", p), ("r", r), ("samples", samples)):
-        _check_count(name, value, 1)
-    if not 0 <= t < math.inf:
+    for name, value, low in (("d", d, 1), ("p", p, 1), ("r", r, 1),
+                             ("samples", samples, 1), ("seed", seed, 0)):
+        _check_count(name, value, low)
+    if isinstance(t, (bool, np.bool_)) or not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(samples, d))

@@ -12,7 +12,9 @@ Three width-vector operators mirror three network constructions:
 network is its case W = I.  Each network operation is exact in real
 arithmetic: the realization of the constructed network equals the
 corresponding combination of the inputs' realizations, and its width vector
-is exactly the operator applied to the inputs' width vectors.
+is exactly the operator applied to the inputs' width vectors.  Each runs on
+layer lists (``_side_by_side``, ``_then``, ``_deepened``), which synthesis
+calls directly; only the public functions check inputs and build networks.
 
 ``_layout`` lays weights side by side: dense up to 2^16 entries of dense
 blocks, else as a triplet layer (``nets._Triplet``) of the blocks' entries,
@@ -22,6 +24,7 @@ so a synthesized network holds its nonzeros, not millions of zeros.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -71,15 +74,13 @@ def identity_dims(d: int, length: int) -> DimVector:
 # network constructions
 # ---------------------------------------------------------------------------
 
-def _readonly(layers) -> tuple:
-    """Mark every array of ``layers`` read-only, in place, and return them as
-    a tuple.  Each array is either fresh or taken from an input network, so
-    ``NeuralNetwork`` can share all of them without copying (a triplet's
-    are read-only from its construction)."""
+def _network(layers) -> NeuralNetwork:
+    """The network of ``layers``, fresh arrays or those of input networks,
+    sharing each one marked read-only in place (a triplet's already are)."""
     for W, B in layers:
         for a in (B,) if isinstance(W, _Triplet) else (W, B):
             a.flags.writeable = False
-    return tuple(layers)
+    return NeuralNetwork(tuple(layers))
 
 
 # The size rule: all-dense layouts of at most this many entries stay dense.
@@ -129,14 +130,8 @@ def _side_by_side(name: str, layer_lists: Sequence, stacked: bool = True) -> lis
 def _sums_side_by_side(sums: Sequence[tuple], stacked: bool = True) -> tuple:
     """Scaled sums, as (layer lists, coeffs) pairs, side by side straight from
     their summands: the layers before the output, over every summand of every
-    sum (``_side_by_side``), and each sum's coefficient-folded output layer."""
-    for lists, coeffs in sums:
-        if len(lists) != len(coeffs):
-            raise ValueError("scaled_sum needs one coefficient per network")
-        if len({ls[-1][0].shape[0] for ls in lists}) > 1:
-            raise ValueError("scaled_sum needs same output width")
-        if not np.isfinite(coeffs).all():
-            raise ValueError(f"scaled_sum coefficients must be finite, got {coeffs!r}")
+    sum (``_side_by_side``), and each sum's coefficient-folded output layer.
+    ``scaled_sum`` checks the coefficients and output widths."""
     return (_side_by_side("scaled_sum", [ls[:-1] for lists, _ in sums for ls in lists],
                           stacked),
             [(_layout([h * ls[-1][0] for h, ls in zip(cs, lists)], down=False),
@@ -149,20 +144,14 @@ def _split(W: np.ndarray, B: np.ndarray) -> tuple:
     return _layout([W, -W], across=False), np.concatenate([B, -B])
 
 
-def _unsplit_tail(q: int, c: np.ndarray, hidden_layers: int) -> list:
-    """The layers after u in R^q is split into (relu(u), relu(-u)): identity
-    layers up to ``hidden_layers`` hidden layers, then [I | -I] (u+, u-) + c."""
-    return ([(np.eye(2 * q), np.zeros(2 * q)) for _ in range(hidden_layers - 1)]
-            + [(np.hstack([np.eye(q), -np.eye(q)]), c)])
-
-
 def affine_network(W: np.ndarray, c: np.ndarray,
                    hidden_layers: int = 1) -> NeuralNetwork:
     """Network computing x -> W x + c, width vector (k, 2q, ..., 2q, q) for W
     of shape (q, k).  Uses the split u = relu(u) - relu(-u) on u = W x; the
-    pair (u+, u-) is nonnegative, so identity layers pass it through ReLU."""
+    pair (u+, u-) is nonnegative, so identity layers pass it through ReLU,
+    and [I | -I] (u+, u-) + c recombines it."""
     W = np.asarray(W, dtype=np.float64)
-    c = np.array(c, dtype=np.float64)  # a copy: _readonly freezes in place
+    c = np.array(c, dtype=np.float64)  # a copy: _network freezes in place
     if W.ndim != 2 or W.size == 0 or not np.isfinite(W).all():
         raise ValueError(f"W must be a nonempty finite matrix, got {W!r}")
     q = W.shape[0]
@@ -171,7 +160,8 @@ def affine_network(W: np.ndarray, c: np.ndarray,
                          f"got {c!r}")
     _check_count("hidden_layers", hidden_layers, 1)
     layers = [(np.vstack([W, -W]), np.zeros(2 * q))]
-    return NeuralNetwork(_readonly(layers + _unsplit_tail(q, c, hidden_layers)))
+    layers += [(np.eye(2 * q), np.zeros(2 * q)) for _ in range(hidden_layers - 1)]
+    return _network(layers + [(np.hstack([np.eye(q), -np.eye(q)]), c)])
 
 
 def identity_network(d: int, hidden_layers: int) -> NeuralNetwork:
@@ -185,28 +175,31 @@ def zero_network(d_in: int, d_out: int, length: int = 3) -> NeuralNetwork:
     _check_count("d_in", d_in, 1)
     _check_count("d_out", d_out, 1)
     _check_count("length", length, 3)
-    layers = [(np.zeros((1, d_in)), np.zeros(1))]
-    for _ in range(length - 3):
-        layers.append((np.zeros((1, 1)), np.zeros(1)))
-    layers.append((np.zeros((d_out, 1)), np.zeros(d_out)))
-    return NeuralNetwork(_readonly(layers))
+    return _network([(np.zeros((1, d_in)), np.zeros(1))]
+                    + [(np.zeros((1, 1)), np.zeros(1)) for _ in range(length - 3)]
+                    + [(np.zeros((d_out, 1)), np.zeros(d_out))])
 
 
-def _then(f_net: NeuralNetwork, W: np.ndarray, B: np.ndarray) -> tuple:
+@lru_cache(maxsize=64)
+def _shared(build, *shape) -> tuple:
+    """The layers of ``build(*shape)``, built once per shape and shared."""
+    return build(*shape).layers
+
+
+def _then(f_net: NeuralNetwork, W: np.ndarray, B: np.ndarray) -> list:
     """The layers of f after an affine output u = W y + B: u split into
     (relu(u), relu(-u)), then f's first weight times [I | -I] recovers u."""
     if f_net.input_width != W.shape[0]:
         raise ValueError(f"compose: f input width {f_net.input_width} != "
                          f"g output width {W.shape[0]}")
     Wf, Bf = f_net.layers[0]
-    return (_split(W, B), (_layout([Wf, -Wf], down=False), Bf)) + f_net.layers[1:]
+    return [_split(W, B), (_layout([Wf, -Wf], down=False), Bf), *f_net.layers[1:]]
 
 
 def compose(f_net: NeuralNetwork, g_net: NeuralNetwork) -> NeuralNetwork:
     """Network realizing x -> f(g(x)): g's layers, then f after g's output
     (``_then``).  Width law: ``dim_compose(dims(f), dims(g))``."""
-    return NeuralNetwork(_readonly(g_net.layers[:-1]
-                                   + _then(f_net, *g_net.layers[-1])))
+    return _network([*g_net.layers[:-1], *_then(f_net, *g_net.layers[-1])])
 
 
 def scaled_sum(nets: Sequence[NeuralNetwork],
@@ -214,26 +207,33 @@ def scaled_sum(nets: Sequence[NeuralNetwork],
     """Network realizing sum_i coeffs[i] * nets[i]: first layers stacked,
     interior layers block-diagonal, coefficients folded into the output layer.
     Width law: the ``dim_sum`` fold of the inputs' width vectors."""
+    if len(nets) != len(coeffs):
+        raise ValueError("scaled_sum needs one coefficient per network")
+    if len({net.output_width for net in nets}) > 1:
+        raise ValueError("scaled_sum needs same output width")
+    if {bool, np.bool_} & set(map(type, coeffs)) or not np.isfinite(coeffs).all():
+        raise ValueError(f"scaled_sum coefficients must be finite numbers: {coeffs!r}")
     layers, out = _sums_side_by_side([([n.layers for n in nets], coeffs)])
-    return NeuralNetwork(_readonly(layers + out))
+    return _network(layers + out)
 
 
 def _composed_sums(f_net: NeuralNetwork, sums: Sequence[tuple],
                    coeffs: Sequence[float]) -> NeuralNetwork:
     """Network realizing x -> sum_i coeffs[i] f(s_i(x)) for the scaled sums
-    s_i of ``sums`` ((nets, coeffs) pairs), with the bytes of
-    ``scaled_sum([compose(f_net, scaled_sum(*s)) for s in sums], coeffs)``;
-    no s_i is built on its own, so every layer is written once."""
-    layers, outs = _sums_side_by_side([([n.layers for n in ns], cs) for ns, cs in sums])
+    s_i of ``sums`` ((layer lists, coeffs) pairs), with the bytes of
+    ``scaled_sum([compose(f_net, scaled_sum(*s)) for s in sums], coeffs)``
+    on their networks; no s_i is built on its own, so every layer is written
+    once."""
+    layers, outs = _sums_side_by_side(sums)
     tail, out = _sums_side_by_side([([_then(f_net, *o) for o in outs], coeffs)],
                                    stacked=False)
-    return NeuralNetwork(_readonly(layers + tail + out))
+    return _network(layers + tail + out)
 
 
 def merge(nets: Sequence[NeuralNetwork]) -> NeuralNetwork:
     """Network realizing x -> (f_1(x), ..., f_M(x)) stacked vertically.
     Width law: the ``dim_merge`` fold of the inputs' width vectors."""
-    return NeuralNetwork(_readonly(_side_by_side("merge", [n.layers for n in nets])))
+    return _network(_side_by_side("merge", [n.layers for n in nets]))
 
 
 def affine_wrap(net: NeuralNetwork, lam: float,
@@ -246,21 +246,22 @@ def affine_wrap(net: NeuralNetwork, lam: float,
     if a.shape != (net.output_width,):
         raise ValueError(f"offset a must have length {net.output_width}")
     for name, v in (("lam", lam), ("shift b", b), ("offset a", a)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    W1, B1 = net.layers[0]
-    WL, BL = net.layers[-1]
-    layers = ((W1, _product(W1, b) + B1),) + net.layers[1:-1] + ((lam * WL, lam * (BL + a)),)
-    return NeuralNetwork(_readonly(layers))
+        if isinstance(v, (bool, np.bool_)) or not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite and not a bool, got {v!r}")
+    (W1, B1), *mid, (WL, BL) = net.layers
+    return _network([(W1, _product(W1, b) + B1), *mid, (lam * WL, lam * (BL + a))])
+
+
+def _deepened(layers: Sequence, extra_hidden: int) -> Sequence:
+    """The layers with ``extra_hidden`` more hidden layers: their output split
+    into (relu(u), relu(-u)), then an identity network's tail."""
+    if extra_hidden == 0:
+        return layers
+    tail = _shared(identity_network, layers[-1][0].shape[0], extra_hidden)[1:]
+    return [*layers[:-1], _split(*layers[-1]), *tail]
 
 
 def extend_depth(net: NeuralNetwork, extra_hidden: int) -> NeuralNetwork:
-    """Same realization, dims-length grown by exactly ``extra_hidden``: the
-    output u is split into (relu(u), relu(-u)), which the tail of an identity
-    network passes through and recombines."""
+    """Same realization, dims-length grown by exactly ``extra_hidden``."""
     _check_count("extra_hidden", extra_hidden, 0)
-    if extra_hidden == 0:
-        return net
-    q = net.output_width
-    layers = [_split(*net.layers[-1])] + _unsplit_tail(q, np.zeros(q), extra_hidden)
-    return NeuralNetwork(net.layers[:-1] + _readonly(layers))
+    return net if extra_hidden == 0 else _network(_deepened(net.layers, extra_hidden))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .nets import _check_count
 
@@ -185,6 +184,7 @@ def _bridge_sum(tree: NoiseTree, keys: np.ndarray,
     ``brownian_path_batch``: they would draw every live column only to
     weight it by zero.
     """
+    from scipy.special import ndtri  # 24 MB of RSS, so at the first draw
     shift, span, last, scale, counter = tree._bridge
     o = int(np.bitwise_or.reduce(k, initial=0))
     live = len(shift) + 1 - (o & -o).bit_length() if o else 0

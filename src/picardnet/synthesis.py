@@ -2,17 +2,17 @@
 
 For a frozen noise realization the level-n estimate is, as a function of the
 start point x, exactly representable by a ReLU network: the Brownian and
-t*mu(0,0) contributions become constants baked into an affine-wrapped
-identity network, and each telescoping correction becomes the drift network
-composed with a merged pair of lower-level networks, depth-padded with
-identity layers (``extend_depth``).  The level-n network is the
-``scaled_sum`` of these summands.  Like the estimator's, the recursion
-walks uint64 stream keys that the entry points fold once.
-
-The K-sample Monte Carlo payoff network is assembled in one pass from the K
-summand lists (``calculus._composed_sums``): no level-n network is built on
-its own, and every layer is written once.  A parameter-selection pipeline
-wires the pieces into an end-to-end accuracy/parameter-count experiment.
+t*mu(0,0) contributions become the output bias of an identity network, and
+each telescoping correction becomes the drift network composed with a merged
+pair of lower-level sums, depth-padded with identity layers.  The level-n
+network is the scaled sum of these summands.  The recursion passes layer
+lists to the calculus's private constructions, walks uint64 stream keys that
+the entry points fold once, and reads the W of a node's children in one
+Brownian query per level; only the entry points build a network.  The
+K-sample Monte Carlo payoff network is assembled in one pass from the K
+summand lists (``calculus._composed_sums``), so every layer is written once.
+A parameter-selection pipeline wires the pieces into an end-to-end
+accuracy/parameter-count experiment.
 """
 
 from __future__ import annotations
@@ -22,16 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (_composed_sums, affine_wrap, compose, extend_depth,
+# affine_wrap, compose, merge, scaled_sum, brownian_at, uniform_time and
+# log_param_bound are bound here only for perfbench's tracer, which wraps them.
+from .calculus import (_composed_sums, _deepened, _network, _shared,
+                       _side_by_side, _sums_side_by_side, _then, affine_wrap, compose,
                        identity_network, merge, scaled_sum, zero_network)
 from .estimator import _brownian, _check_args, _children
 from .nets import (NeuralNetwork, _check_count, dim_supnorm, dims,
                    param_count, realize)
-# brownian_at and uniform_time are bound here only for perfbench's tracer.
 from .noise import (NoiseTree, ThetaIndex, base_keys, brownian_at, theta_key,
                     uniform_time)
 from .problems import TestProblem
-# log_param_bound is bound here only for perfbench's tracer, which wraps it.
 from .selection import log_param_bound, select_N, select_epsilon
 
 
@@ -46,30 +47,35 @@ class SynthesisReport:
 
 
 def _mlp_net(problem: TestProblem, tree: NoiseTree, key: np.ndarray,
-             n: int, m: int, t: float, mu0: np.ndarray) -> tuple[list, list]:
+             n: int, m: int, t: float, mu0: np.ndarray,
+             w: np.ndarray) -> tuple[list, list]:
     """The level-n network of key (one uint64 stream key in an array) on
-    checked arguments, mu0 = mu(0, 0), as the summands and coefficients of
-    its ``scaled_sum``; each has H hidden layers (one at n = 0)."""
+    checked arguments, mu0 = mu(0, 0) and w its W at t (unused at n = 0), as
+    the layer lists and coefficients of its scaled sum; each has H hidden
+    layers (one at n = 0).  One query per child level reads their W."""
     d, mu_net = problem.d, problem.mu_net
     if n == 0:
-        return [zero_network(d, d, 3)], [1.0]
+        return [_shared(zero_network, d, d)], [1.0]
     H = n * len(mu_net.layers) + 1
-    const = _brownian(tree, key, t, m, n)[0] + t * mu0
-    nets = [affine_wrap(identity_network(d, H), 1.0, np.zeros(d), const)]
-    coeffs = [1.0]
+    *shared, (WL, _) = _shared(identity_network, d, H)
+    lists, coeffs = [[*shared, (WL, w + t * mu0)]], [1.0]
     for ell in range(1, n):
         M = m ** (n - ell)
         child, times = _children(key, t, n, np.arange(1, M + 1), ell)
-        for c, s in zip(child[:, None], times):
-            for lv, h in ((ell, t / M), (ell - 1, -t / M)):
-                subs = [_mlp_net(problem, tree, node, lv, m, s, mu0)
-                        for node in (key, c)]
-                # A level-0 sum is its one summand, the zero network.
-                pair = merge([scaled_sum(*sub) if lv else sub[0][0] for sub in subs])
-                pad = H + 1 - len(mu_net.layers) - len(pair.layers)
-                nets.append(compose(mu_net, extend_depth(pair, pad)))
+        nodes, s = np.concatenate([np.repeat(key, M), child]), np.tile(times, 2)
+        levels = [(lv, h, _brownian(tree, nodes, s, m, lv) if lv else [None] * len(s))
+                  for lv, h in ((ell, t / M), (ell - 1, -t / M))]
+        for k in range(M):
+            for lv, h, W in levels:
+                # The merged pair of the two sums, laid out from their summands.
+                layers, outs = _sums_side_by_side([
+                    _mlp_net(problem, tree, nodes[i:i + 1], lv, m, s[i], mu0, W[i])
+                    for i in (k, M + k)])
+                pair = layers + _side_by_side("merge", [[o] for o in outs], False)
+                pair = _deepened(pair, H + 1 - len(mu_net.layers) - len(pair))
+                lists.append(pair[:-1] + _then(mu_net, *pair[-1]))
                 coeffs.append(h)
-    return nets, coeffs
+    return lists, coeffs
 
 
 def mlp_width_constant(problem: TestProblem) -> int:
@@ -103,7 +109,9 @@ def synthesize_mlp_network(problem: TestProblem, tree: NoiseTree,
     _check_args(problem, tree, n, m, t, bases=theta)
     key = np.array([theta_key(tree.master_seed, theta)], np.uint64)
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    net = scaled_sum(*_mlp_net(problem, tree, key, n, m, t, mu0))
+    layers, out = _sums_side_by_side([_mlp_net(problem, tree, key, n, m, t, mu0,
+                                               _brownian(tree, key, t, m, n)[0])])
+    net = _network(layers + out)
     return _report(net, n * (len(dims(problem.mu_net)) - 1) + 3,
                    mlp_width_constant(problem) * (5 * m) ** n)
 
@@ -115,9 +123,9 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
     _check_args(problem, tree, n, m, tree.T, K=K)
     keys = base_keys(tree.master_seed, np.arange(1, K + 1))[:, None]
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    net = _composed_sums(problem.f_net,
-                         [_mlp_net(problem, tree, key, n, m, tree.T, mu0)
-                          for key in keys], [1.0 / K] * K)
+    net = _composed_sums(problem.f_net, [
+        _mlp_net(problem, tree, key, n, m, tree.T, mu0,
+                 _brownian(tree, key, tree.T, m, n)[0]) for key in keys], [1.0 / K] * K)
     depth_f, depth_mu = len(dims(problem.f_net)), len(dims(problem.mu_net))
     return _report(net, depth_f + n * (depth_mu - 1) + 2,
                    K * mc_width_constant(problem) * (5 * m) ** n)

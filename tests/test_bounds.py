@@ -316,8 +316,11 @@ def test_simulate_particles_rejects_bad_input(problems, x, name):
 @pytest.mark.parametrize("kwargs, name", [
     ({"d": 0}, "d"), ({"p": 0}, "p"), ({"r": 0}, "r"),
     ({"samples": 0}, "samples"),
-    ({"t": -1.0}, "t"), ({"t": math.nan}, "t"), ({"t": math.inf}, "t")],
-    ids=["d-0", "p-0", "r-0", "samples-0", "t-negative", "t-nan", "t-inf"])
+    ({"t": -1.0}, "t"), ({"t": math.nan}, "t"), ({"t": math.inf}, "t"),
+    ({"t": True}, "t"), ({"t": np.True_}, "t"), ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed")],
+    ids=["d-0", "p-0", "r-0", "samples-0", "t-negative", "t-nan", "t-inf",
+         "t-True", "t-numpy-True", "seed-1", "seed-True"])
 def test_brownian_moment_check_rejects_bad_arguments(kwargs, name):
     args = {"d": 1, "p": 1, "r": 1, "t": 1.0, "samples": 10} | kwargs
     with pytest.raises(ValueError, match=f"^{name} must "):

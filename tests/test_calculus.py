@@ -269,9 +269,19 @@ def test_side_by_side_rejections(name, widths, coeffs, reason):
      "shift b must be finite"),
     (lambda: affine_wrap(_NETS[(2, 3, 1)], 1.0, np.zeros(2), [np.nan]),
      "offset a must be finite"),
-], ids=["sum-nan", "sum-inf", "wrap-lam", "wrap-b", "wrap-a"])
+    (lambda: scaled_sum([_NETS[(2, 3, 1)]] * 2, [True, 1.0]),
+     "scaled_sum coefficients must be finite numbers"),
+    (lambda: scaled_sum([_NETS[(2, 3, 1)]] * 2, [1.0, np.False_]),
+     "scaled_sum coefficients must be finite numbers"),
+    (lambda: affine_wrap(_NETS[(2, 3, 1)], True, np.zeros(2), np.zeros(1)),
+     "lam must be finite and not a bool"),
+    (lambda: affine_wrap(_NETS[(2, 3, 1)], np.True_, np.zeros(2), np.zeros(1)),
+     "lam must be finite and not a bool"),
+], ids=["sum-nan", "sum-inf", "wrap-lam", "wrap-b", "wrap-a", "sum-True",
+        "sum-numpy-False", "wrap-lam-True", "wrap-lam-numpy-True"])
 def test_non_finite_scalars_rejected(build, message):
-    # Each of these used to build a network that realizes NaN everywhere.
+    # Each non-finite scalar used to build a network that realizes NaN
+    # everywhere, and a bool was taken as the number 0 or 1.
     with pytest.raises(ValueError, match=f"^{message}"):
         build()
 

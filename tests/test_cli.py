@@ -229,3 +229,21 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.splitlines() == ["PASS", "[]"]
     assert (tmp_path / "scaling.csv").exists()
+
+
+def test_import_leaves_scipy_special_unloaded_until_the_first_draw():
+    # scipy.special (ndtri) adds about 24 MB of RSS; only a Brownian draw
+    # needs it, and a draw must then find it.
+    src = os.path.dirname(os.path.dirname(picardnet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, picardnet; "
+            "print('scipy.special' in sys.modules); "
+            "tree = picardnet.NoiseTree(master_seed=1, T=1.0, d=2, "
+            "grid_levels=2, m=2); "
+            "w = picardnet.brownian_at(tree, (1,), 3); "
+            "print('scipy.special' in sys.modules, w.shape)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["False", "True (2,)"]

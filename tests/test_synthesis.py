@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import picardnet.calculus
+import picardnet.estimator
+import picardnet.synthesis
 from picardnet.calculus import (compose, dim_compose, dim_merge, dim_sum,
                                 extend_depth, identity_dims, scaled_sum)
 from picardnet.estimator import mlp_estimate, monte_carlo_payoff
 from picardnet.nets import DimVector, NeuralNetwork, dims, param_count, realize
-from picardnet.noise import NoiseTree, brownian_at
+from picardnet.noise import NoiseTree, brownian_at, brownian_path_batch
 from picardnet.problems import constant_problem, linear_problem
 from picardnet.synthesis import (probe_points, synthesize_mc_network,
                                  synthesize_mlp_network, theorem_pipeline)
@@ -233,6 +236,61 @@ def test_mc_network_construction_peak_stays_near_its_size():
     size = 8 * param_count(net)
     assert peak <= 1.25 * size
     assert peak <= size / 8
+
+
+def brownian_queries(n, m):
+    """Q(n): the Brownian queries below a level-n node, one per level
+    lv >= 1 of each ell's children, Q(0) = Q(1) = 0.  The node's own W
+    comes from its parent, or from one query at the entry point."""
+    return sum(1 + (ell > 1) + 2 * m ** (n - ell)
+               * (brownian_queries(ell, m) + brownian_queries(ell - 1, m))
+               for ell in range(1, n))
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 2), (2, 2), (2, 3), (3, 2),
+                                  (3, 3)])
+def test_one_brownian_query_per_child_level(monkeypatch, n, m):
+    # A node used to query its own W: 67 queries per level-3 network at
+    # m = 3, and 134 for K = 2 Monte Carlo samples.
+    rows = []
+
+    def counting(tree, keys, idx):
+        rows.append(len(keys))
+        return brownian_path_batch(tree, keys, idx)
+
+    monkeypatch.setattr(picardnet.estimator, "brownian_path_batch", counting)
+    prob = linear_problem(5)
+    tree = NoiseTree(master_seed=8, T=prob.T, d=5, grid_levels=n, m=m)
+    synthesize_mlp_network(prob, tree, (1,), n, m, 0.75 * prob.T)
+    assert len(rows) == 1 + brownian_queries(n, m)
+    rows.clear()
+    synthesize_mc_network(prob, tree, 2, n, m)
+    assert len(rows) == 2 * (1 + brownian_queries(n, m))
+    assert (1 + brownian_queries(3, 3), 2 * (1 + brownian_queries(3, 3))) \
+        == (10, 20)
+
+
+def test_mc_network_is_the_one_network_built():
+    # Synthesis passes layer lists, so a Monte Carlo build constructs one
+    # network whatever K is; every inner node used to build its own.
+    prob = linear_problem(2)
+    tree = NoiseTree(master_seed=3, T=prob.T, d=2, grid_levels=3, m=3)
+    synthesize_mc_network(prob, tree, 1, 3, 3)  # the shared layers, once
+    built = []
+
+    def counting(layers):
+        built.append(len(layers))
+        return NeuralNetwork(layers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (picardnet.calculus, picardnet.synthesis):
+            patch.setattr(module, "NeuralNetwork", counting)
+        counts = []
+        for K in (1, 3):
+            built.clear()
+            synthesize_mc_network(prob, tree, K, 3, 3)
+            counts.append(len(built))
+    assert counts == [1, 1]
 
 
 class TestTheoremPipeline:
