@@ -13,12 +13,22 @@ network is its case W = I.  Each network operation is exact in real
 arithmetic: the realization of the constructed network equals the
 corresponding combination of the inputs' realizations, and its width vector
 is exactly the operator applied to the inputs' width vectors.  Each runs on
-layer lists (``_side_by_side``, ``_then``, ``_deepened``), which synthesis
-calls directly; only the public functions check inputs and build networks.
+layer lists (``_side_by_side``, ``_scaled_sum``, ``_then``, ``_deepened``),
+which synthesis calls directly; only the public functions check inputs and
+build networks.
 
 ``_layout`` lays weights side by side: dense up to 2^16 entries of dense
 blocks, else as a triplet layer (``nets._Triplet``) of the blocks' entries,
 so a synthesized network holds its nonzeros, not millions of zeros.
+
+The layer functions build many networks of one shape at once: an array may
+carry a leading copy axis (a dense weight (copies, h, w), a bias (copies,
+q), a triplet's ``vals`` (copies, e) beside shared ``rows`` and ``cols``),
+and a block without one, such as a drift layer, is broadcast across the
+copies; ``_copy`` takes copies out.  The public constructions are the case
+without a copy axis.  Where the copies of a dense block differ in which
+entries are +0.0, its triplet stores the union, so a copy may store +0.0
+where it has no entry; triplet negation keeps such an entry at +0.0.
 """
 
 from __future__ import annotations
@@ -88,60 +98,84 @@ _DENSE_ENTRIES = 2 ** 16
 
 
 def _entries(W) -> tuple:
-    """(rows, cols, vals) of W; a dense W's entries are those not +0.0."""
+    """(rows, cols, vals) of W; a dense W's entries are those not +0.0 in
+    some copy, so a copy holds +0.0 at the entries of another."""
     if isinstance(W, _Triplet):
         return W.rows, W.cols, W.vals
-    rows, cols = np.nonzero(W.view(np.int64))
-    return rows, cols, W[rows, cols]
+    bits = W.view(np.int64)
+    rows, cols = np.nonzero(bits if W.ndim == 2 else bits.any(axis=0))
+    return rows, cols, W[..., rows, cols]
+
+
+def _cat(arrays: Sequence) -> np.ndarray:
+    """The arrays joined along their last axis, each broadcast across the
+    copies of the others."""
+    lead = max((a.shape[:-1] for a in arrays), key=len)
+    return np.concatenate([a if a.ndim > len(lead) else
+                           np.broadcast_to(a, lead + a.shape) for a in arrays], axis=-1)
 
 
 def _layout(blocks: Sequence, down: bool = True, across: bool = True):
-    """The 2-D ``blocks`` in order, each below the one before if ``down`` and
-    right of it if ``across`` (both: block-diagonal).  Dense if every block
-    is dense and the result has at most _DENSE_ENTRIES entries, else the
-    triplet of the blocks' entries at their offsets."""
-    r = list(accumulate((b.shape[0] * down for b in blocks), initial=0))
-    c = list(accumulate((b.shape[1] * across for b in blocks), initial=0))
-    shape = (r[-1] or blocks[0].shape[0], c[-1] or blocks[0].shape[1])
+    """The ``blocks`` (matrices per copy) in order, each below the one before
+    if ``down`` and right of it if ``across`` (both: block-diagonal).  Dense
+    if every block is dense and the result has at most _DENSE_ENTRIES entries
+    per copy, else the triplet of the blocks' entries at their offsets."""
+    r = list(accumulate((b.shape[-2] * down for b in blocks), initial=0))
+    c = list(accumulate((b.shape[-1] * across for b in blocks), initial=0))
+    shape = (r[-1] or blocks[0].shape[-2], c[-1] or blocks[0].shape[-1])
     if (shape[0] * shape[1] <= _DENSE_ENTRIES
             and all(isinstance(b, np.ndarray) for b in blocks)):
-        out = np.zeros(shape)
+        out = np.zeros(max((b.shape[:-2] for b in blocks), key=len) + shape)
         for b, i, j in zip(blocks, r, c):
-            out[i:i + b.shape[0], j:j + b.shape[1]] = b
+            out[..., i:i + b.shape[-2], j:j + b.shape[-1]] = b
         return out
-    rows, cols, vals = zip(*map(_entries, blocks))
+    found = {id(b): b for b in blocks}  # a shared block may recur
+    found = {i: _entries(b) for i, b in found.items()}
+    rows, cols, vals = zip(*(found[id(b)] for b in blocks))
     return _Triplet(np.concatenate([a + i for a, i in zip(rows, r)]),
                     np.concatenate([a + j for a, j in zip(cols, c)]),
-                    np.concatenate(vals), shape)
+                    _cat(vals), shape)
 
 
-def _side_by_side(name: str, layer_lists: Sequence, stacked: bool = True) -> list:
+def _copy(layers: Sequence, s) -> list:
+    """Copies s (an index or a slice) of the layers; an array without a copy
+    axis is shared by every copy."""
+    def take(a, ndim):
+        return a[s] if a.ndim > ndim else a
+    return [(_Triplet(W.rows, W.cols, take(W.vals, 1), W.shape)
+             if isinstance(W, _Triplet) else take(W, 2), take(B, 1))
+            for W, B in layers]
+
+
+def _side_by_side(name: str, layer_lists: Sequence) -> list:
     """Layer i of every list side by side, biases concatenated: first layers
-    stacked over a common input if ``stacked``, all others block-diagonal."""
+    stacked over a common input, all others block-diagonal."""
     if len(layer_lists) == 0:
         raise ValueError(f"{name} of an empty sequence")
-    if stacked and len({(len(ls), ls[0][0].shape[1]) for ls in layer_lists}) > 1:
+    if len({(len(ls), ls[0][0].shape[-1]) for ls in layer_lists}) > 1:
         raise ValueError(f"{name} needs same depth and input width")
-    return [(_layout([ls[i][0] for ls in layer_lists], across=i > 0 or not stacked),
-             np.concatenate([ls[i][1] for ls in layer_lists]))
+    return [(_layout([ls[i][0] for ls in layer_lists], across=i > 0),
+             _cat([ls[i][1] for ls in layer_lists]))
             for i in range(len(layer_lists[0]))]
 
 
-def _sums_side_by_side(sums: Sequence[tuple], stacked: bool = True) -> tuple:
-    """Scaled sums, as (layer lists, coeffs) pairs, side by side straight from
-    their summands: the layers before the output, over every summand of every
-    sum (``_side_by_side``), and each sum's coefficient-folded output layer.
-    ``scaled_sum`` checks the coefficients and output widths."""
-    return (_side_by_side("scaled_sum", [ls[:-1] for lists, _ in sums for ls in lists],
-                          stacked),
-            [(_layout([h * ls[-1][0] for h, ls in zip(cs, lists)], down=False),
-              sum(h * ls[-1][1] for h, ls in zip(cs, lists))) for lists, cs in sums])
+def _scaled_sum(layer_lists: Sequence, coeffs: Sequence) -> list:
+    """The layers of the scaled sum of the lists: the layers before their
+    outputs side by side, then the output layers beside each other, each
+    times its coefficient (a number, or a column of one per copy), biases
+    summed in order.  ``scaled_sum`` checks coefficients and output widths."""
+    hs = [np.asarray(h) for h in coeffs]
+    return _side_by_side("scaled_sum", [ls[:-1] for ls in layer_lists]) + [(
+        _layout([h * ls[-1][0] if isinstance(ls[-1][0], _Triplet)
+                 else h[..., None] * ls[-1][0] for h, ls in zip(hs, layer_lists)],
+                down=False),
+        sum(h * ls[-1][1] for h, ls in zip(hs, layer_lists)))]
 
 
 def _split(W: np.ndarray, B: np.ndarray) -> tuple:
     """The layer (W; -W), (B; -B): its ReLU outputs (relu(u), relu(-u))
     carry u = W x + B."""
-    return _layout([W, -W], across=False), np.concatenate([B, -B])
+    return _layout([W, -W], across=False), _cat([B, -B])
 
 
 def affine_network(W: np.ndarray, c: np.ndarray,
@@ -189,9 +223,9 @@ def _shared(build, *shape) -> tuple:
 def _then(f_net: NeuralNetwork, W: np.ndarray, B: np.ndarray) -> list:
     """The layers of f after an affine output u = W y + B: u split into
     (relu(u), relu(-u)), then f's first weight times [I | -I] recovers u."""
-    if f_net.input_width != W.shape[0]:
+    if f_net.input_width != W.shape[-2]:
         raise ValueError(f"compose: f input width {f_net.input_width} != "
-                         f"g output width {W.shape[0]}")
+                         f"g output width {W.shape[-2]}")
     Wf, Bf = f_net.layers[0]
     return [_split(W, B), (_layout([Wf, -Wf], down=False), Bf), *f_net.layers[1:]]
 
@@ -213,21 +247,17 @@ def scaled_sum(nets: Sequence[NeuralNetwork],
         raise ValueError("scaled_sum needs same output width")
     if {bool, np.bool_} & set(map(type, coeffs)) or not np.isfinite(coeffs).all():
         raise ValueError(f"scaled_sum coefficients must be finite numbers: {coeffs!r}")
-    layers, out = _sums_side_by_side([([n.layers for n in nets], coeffs)])
-    return _network(layers + out)
+    return _network(_scaled_sum([n.layers for n in nets], coeffs))
 
 
-def _composed_sums(f_net: NeuralNetwork, sums: Sequence[tuple],
+def _composed_sums(f_net: NeuralNetwork, layers: Sequence,
                    coeffs: Sequence[float]) -> NeuralNetwork:
-    """Network realizing x -> sum_i coeffs[i] f(s_i(x)) for the scaled sums
-    s_i of ``sums`` ((layer lists, coeffs) pairs), with the bytes of
-    ``scaled_sum([compose(f_net, scaled_sum(*s)) for s in sums], coeffs)``
-    on their networks; no s_i is built on its own, so every layer is written
-    once."""
-    layers, outs = _sums_side_by_side(sums)
-    tail, out = _sums_side_by_side([([_then(f_net, *o) for o in outs], coeffs)],
-                                   stacked=False)
-    return _network(layers + tail + out)
+    """Network realizing x -> sum_i coeffs[i] f(s_i(x)) for the copies s_i
+    of ``layers``, with the bytes of ``scaled_sum([compose(f_net, s_i) for
+    s_i ...], coeffs)`` on their networks; no s_i is built on its own."""
+    composed = [*layers[:-1], *_then(f_net, *layers[-1])]
+    return _network(_scaled_sum([_copy(composed, i) for i in range(len(coeffs))],
+                                coeffs))
 
 
 def merge(nets: Sequence[NeuralNetwork]) -> NeuralNetwork:
@@ -257,7 +287,7 @@ def _deepened(layers: Sequence, extra_hidden: int) -> Sequence:
     into (relu(u), relu(-u)), then an identity network's tail."""
     if extra_hidden == 0:
         return layers
-    tail = _shared(identity_network, layers[-1][0].shape[0], extra_hidden)[1:]
+    tail = _shared(identity_network, layers[-1][0].shape[-2], extra_hidden)[1:]
     return [*layers[:-1], _split(*layers[-1]), *tail]
 
 

@@ -56,7 +56,8 @@ def dim_supnorm(v: DimVector) -> int:
 class _Triplet:
     """A weight matrix of ``shape`` stored as read-only 1-D ``rows``, ``cols``
     and ``vals``, every other entry +0.0; only the calculus builds one.
-    Scaling and negation keep the indices; ``np.asarray`` gives the dense
+    Scaling and negation keep the indices, and negation maps a stored +-0.0
+    to +0.0, as it does an absent entry.  ``np.asarray`` gives the dense
     view, and ``csr``, built on first use, is the form products use."""
 
     __array_ufunc__ = None  # so h * W defers to __rmul__, not to a dense W
@@ -87,7 +88,7 @@ class _Triplet:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * -1.0
+        return _Triplet(self.rows, self.cols, 0.0 - self.vals, self.shape)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

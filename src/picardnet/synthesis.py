@@ -5,14 +5,16 @@ start point x, exactly representable by a ReLU network: the Brownian and
 t*mu(0,0) contributions become the output bias of an identity network, and
 each telescoping correction becomes the drift network composed with a merged
 pair of lower-level sums, depth-padded with identity layers.  The level-n
-network is the scaled sum of these summands.  The recursion passes layer
-lists to the calculus's private constructions, walks uint64 stream keys that
-the entry points fold once, and reads the W of a node's children in one
-Brownian query per level; only the entry points build a network.  The
-K-sample Monte Carlo payoff network is assembled in one pass from the K
-summand lists (``calculus._composed_sums``), so every layer is written once.
-A parameter-selection pipeline wires the pieces into an end-to-end
-accuracy/parameter-count experiment.
+network is the scaled sum of these summands.  The recursion has the shape
+of the value recursion ``estimator._mlp_batch``: one call builds, as copies
+of one layer list (``calculus._copy``), the networks of all nodes of a
+class (level, ell, child level), from uint64 stream keys that the entry
+points fold once, and reads their W in one Brownian query.  A parent's M
+summands of a class are its M copies, laid side by side.  The level-n
+network is the one-copy case, and the K-sample Monte Carlo payoff network
+lays the K copies of one call side by side (``calculus._composed_sums``);
+only the entry points build a network.  A parameter-selection pipeline
+wires the pieces into an end-to-end accuracy/parameter-count experiment.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 
 # affine_wrap, compose, merge, scaled_sum, brownian_at, uniform_time and
 # log_param_bound are bound here only for perfbench's tracer, which wraps them.
-from .calculus import (_composed_sums, _deepened, _network, _shared,
-                       _side_by_side, _sums_side_by_side, _then, affine_wrap, compose,
-                       identity_network, merge, scaled_sum, zero_network)
+from .calculus import (_composed_sums, _copy, _deepened, _network,
+                       _scaled_sum, _shared, _side_by_side, _then, affine_wrap,
+                       compose, identity_network, merge, scaled_sum, zero_network)
 from .estimator import _brownian, _check_args, _children
 from .nets import (NeuralNetwork, _check_count, dim_supnorm, dims,
                    param_count, realize)
@@ -46,36 +48,38 @@ class SynthesisReport:
     predicted_width_bound: int
 
 
-def _mlp_net(problem: TestProblem, tree: NoiseTree, key: np.ndarray,
-             n: int, m: int, t: float, mu0: np.ndarray,
-             w: np.ndarray) -> tuple[list, list]:
-    """The level-n network of key (one uint64 stream key in an array) on
-    checked arguments, mu0 = mu(0, 0) and w its W at t (unused at n = 0), as
-    the layer lists and coefficients of its scaled sum; each has H hidden
-    layers (one at n = 0).  One query per child level reads their W."""
-    d, mu_net = problem.d, problem.mu_net
+def _mlp_net(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
+             n: int, m: int, t: np.ndarray, mu0: np.ndarray, w) -> list:
+    """The layers of the level-n networks of keys (uint64 stream keys) at
+    times t, one copy each (``calculus._copy``), on checked arguments; mu0 =
+    mu(0, 0) and w their W at t (unused at n = 0).  One call per class (ell,
+    child level) builds all of its children, whose W one query reads."""
+    d, mu_net, R = problem.d, problem.mu_net, len(keys)
     if n == 0:
-        return [_shared(zero_network, d, d)], [1.0]
+        return _shared(zero_network, d, d)
     H = n * len(mu_net.layers) + 1
     *shared, (WL, _) = _shared(identity_network, d, H)
-    lists, coeffs = [[*shared, (WL, w + t * mu0)]], [1.0]
+    lists, coeffs = [[*shared, (WL, w + t[:, None] * mu0)]], [1.0]
     for ell in range(1, n):
         M = m ** (n - ell)
-        child, times = _children(key, t, n, np.arange(1, M + 1), ell)
-        nodes, s = np.concatenate([np.repeat(key, M), child]), np.tile(times, 2)
-        levels = [(lv, h, _brownian(tree, nodes, s, m, lv) if lv else [None] * len(s))
-                  for lv, h in ((ell, t / M), (ell - 1, -t / M))]
+        child, s = _children(keys, t, n, np.arange(1, M + 1), ell)
+        nodes, s = np.concatenate([np.tile(keys, M), child]), np.tile(s, 2)
+        pairs = []
+        for lv in (ell, ell - 1):
+            net = _mlp_net(problem, tree, nodes, lv, m, s, mu0,
+                           _brownian(tree, nodes, s, m, lv) if lv else None)
+            # Copy k * R + r of the merged pairs: parent r's sum beside its
+            # k-th child's.
+            pair = _side_by_side("merge", [_copy(net, slice(M * R)),
+                                           _copy(net, slice(M * R, None))])
+            pair = _deepened(pair, H + 1 - len(mu_net.layers) - len(pair))
+            pairs.append(pair[:-1] + _then(mu_net, *pair[-1]))
+        hs = ((t / M)[:, None], (-t / M)[:, None])
         for k in range(M):
-            for lv, h, W in levels:
-                # The merged pair of the two sums, laid out from their summands.
-                layers, outs = _sums_side_by_side([
-                    _mlp_net(problem, tree, nodes[i:i + 1], lv, m, s[i], mu0, W[i])
-                    for i in (k, M + k)])
-                pair = layers + _side_by_side("merge", [[o] for o in outs], False)
-                pair = _deepened(pair, H + 1 - len(mu_net.layers) - len(pair))
-                lists.append(pair[:-1] + _then(mu_net, *pair[-1]))
+            for pair, h in zip(pairs, hs):
+                lists.append(_copy(pair, slice(k * R, (k + 1) * R)))
                 coeffs.append(h)
-    return lists, coeffs
+    return _scaled_sum(lists, coeffs)
 
 
 def mlp_width_constant(problem: TestProblem) -> int:
@@ -108,10 +112,9 @@ def synthesize_mlp_network(problem: TestProblem, tree: NoiseTree,
     theta = tuple(theta)
     _check_args(problem, tree, n, m, t, bases=theta)
     key = np.array([theta_key(tree.master_seed, theta)], np.uint64)
-    mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    layers, out = _sums_side_by_side([_mlp_net(problem, tree, key, n, m, t, mu0,
-                                               _brownian(tree, key, t, m, n)[0])])
-    net = _network(layers + out)
+    mu0, t = realize(problem.mu_net, np.zeros(2 * problem.d)), np.full(1, float(t))
+    net = _network(_copy(_mlp_net(problem, tree, key, n, m, t, mu0,
+                                  _brownian(tree, key, t, m, n)), 0))
     return _report(net, n * (len(dims(problem.mu_net)) - 1) + 3,
                    mlp_width_constant(problem) * (5 * m) ** n)
 
@@ -121,11 +124,11 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
     """Network equal (in x) to the K-sample Monte Carlo payoff average,
     with depth depth_f + n(depth_mu - 1) + 2 and width bound K c (5m)^n."""
     _check_args(problem, tree, n, m, tree.T, K=K)
-    keys = base_keys(tree.master_seed, np.arange(1, K + 1))[:, None]
+    keys, t = base_keys(tree.master_seed, np.arange(1, K + 1)), np.full(K, float(tree.T))
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    net = _composed_sums(problem.f_net, [
-        _mlp_net(problem, tree, key, n, m, tree.T, mu0,
-                 _brownian(tree, key, tree.T, m, n)[0]) for key in keys], [1.0 / K] * K)
+    net = _composed_sums(problem.f_net, _mlp_net(problem, tree, keys, n, m, t, mu0,
+                                                 _brownian(tree, keys, t, m, n)),
+                         [1.0 / K] * K)
     depth_f, depth_mu = len(dims(problem.f_net)), len(dims(problem.mu_net))
     return _report(net, depth_f + n * (depth_mu - 1) + 2,
                    K * mc_width_constant(problem) * (5 * m) ** n)

@@ -538,13 +538,14 @@ def test_mu0_realized_once_per_call(monkeypatch, module, call):
 # at ell and ell - 1): N(0) = N(1) = 1.  The estimator skips level 0 (N(2) =
 # 7, N(3) = 67) and runs its 67 nodes as rows of 5 calls: the top call, then
 # 18 rows at ell = 1, 6 + 6 at ell = 2, and 36 below the 6 level-2 rows.
-# Synthesis builds its zero networks (13 and 121), one node per call.
+# Synthesis builds its zero networks too (13 and 121 nodes) in one call per
+# class (ell, child level): B(n) = 1 + sum_ell (B(ell) + B(ell - 1)), B(0) =
+# B(1) = 1, whatever m is; B(3) = 7 calls, where it made one per node.
 @pytest.mark.parametrize("module, recursion, call, calls, count", [
     (picardnet.estimator, "_mlp_batch",
      lambda p, tr: mlp_estimate(p, tr, (4, 1), 3, 3, 0.8, np.ones(1)), 5, 67),
     (picardnet.synthesis, "_mlp_net",
-     lambda p, tr: synthesize_mlp_network(p, tr, (4, 1), 3, 3, 0.8), 121,
-     121),
+     lambda p, tr: synthesize_mlp_network(p, tr, (4, 1), 3, 3, 0.8), 7, 121),
 ], ids=["mlp_estimate", "synthesize_mlp_network"])
 def test_theta_folded_once_at_entry(monkeypatch, module, recursion, call,
                                     calls, count):

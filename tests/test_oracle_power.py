@@ -60,14 +60,22 @@ FAULTS = [
     ("drift-rows-reversed", picardnet.estimator, "_drift",
      "realize(mu_net, inputs[b])", "realize(mu_net, inputs[b][::-1])"),
     ("split-bias-not-negated", picardnet.calculus, "_split",
-     "np.concatenate([B, -B])", "np.concatenate([B, B])"),
+     "_cat([B, -B])", "_cat([B, B])"),
     ("side_by_side-biases-reversed", picardnet.calculus, "_side_by_side",
-     "np.concatenate([ls[i][1] for ls in layer_lists])",
-     "np.concatenate([ls[i][1] for ls in layer_lists[::-1]])"),
+     "_cat([ls[i][1] for ls in layer_lists])",
+     "_cat([ls[i][1] for ls in layer_lists[::-1]])"),
     ("composed_sums-payoffs-reversed", picardnet.calculus, "_composed_sums",
-     "[_then(f_net, *o) for o in outs]", "[_then(f_net, *o) for o in outs[::-1]]"),
+     "[_copy(composed, i) for i in range(len(coeffs))]",
+     "[_copy(composed, i) for i in range(len(coeffs))[::-1]]"),
     ("layout-column-offset-not-added", picardnet.calculus, "_layout",
      "np.concatenate([a + j for a, j in zip(cols, c)])", "np.concatenate(cols)"),
+    ("entries-first-copy-only", picardnet.calculus, "_entries",
+     "bits.any(axis=0)", "bits[0]"),
+    ("copy-bias-from-neighbour", picardnet.calculus, "_copy",
+     "take(B, 1))", "take(B if B.ndim == 1 else np.roll(B, 1, axis=0), 1))"),
+    ("mlp_net-copies-folded-reversed", picardnet.synthesis, "_mlp_net",
+     "_copy(pair, slice(k * R, (k + 1) * R))",
+     "_copy(pair, slice((M - 1 - k) * R, (M - k) * R))"),
 ]
 
 
@@ -77,7 +85,7 @@ def all_triplets(detect):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(picardnet.calculus, "_DENSE_ENTRIES", 0)
             detect()
-    run.__qualname__ = f"all_triplets({detect.__qualname__})"
+    run.__qualname__ = f"all_triplets({getattr(detect, '__qualname__', repr(detect))})"
     return run
 
 # Tests that read no golden file, cheapest first.
@@ -105,6 +113,12 @@ DETECTORS = [
     # A linear payoff averages the K sums symmetrically, so a fault that
     # permutes them needs the public-API build's bytes to show.
     partial(S.test_mc_network_bytes_equal_public_api_oracle, "linear", 1, 2, 2),
+    # Summing a class's copies in another order, or their union of entries
+    # replaced by one copy's, changes bytes only.
+    partial(S.test_mlp_network_bytes_equal_node_by_node_oracle, "linear", 1, 2,
+            2),
+    all_triplets(partial(S.test_node_by_node_oracle_at_vanishing_times,
+                         "wide drift", 1e-322)),
 ]
 
 

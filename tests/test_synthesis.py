@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import picardnet.calculus
 import picardnet.estimator
 import picardnet.synthesis
-from picardnet.calculus import (compose, dim_compose, dim_merge, dim_sum,
-                                extend_depth, identity_dims, scaled_sum)
+from picardnet.calculus import (affine_network, compose, dim_compose,
+                                dim_merge, dim_sum, extend_depth,
+                                identity_dims, merge, scaled_sum, zero_network)
 from picardnet.estimator import mlp_estimate, monte_carlo_payoff
 from picardnet.nets import DimVector, NeuralNetwork, dims, param_count, realize
-from picardnet.noise import NoiseTree, brownian_at, brownian_path_batch
+from picardnet.noise import (NoiseTree, brownian_at, brownian_path_batch,
+                             uniform_time)
 from picardnet.problems import constant_problem, linear_problem
 from picardnet.synthesis import (probe_points, synthesize_mc_network,
                                  synthesize_mlp_network, theorem_pipeline)
@@ -162,6 +164,24 @@ class TestMcSynthesis:
             assert rel_err(realize(rep.network, x)[0], want) <= 1e-8
 
 
+def test_level_four_networks():
+    # Level 4 at m = 4: 2,641 recursion nodes per level-n network, built in
+    # 17 class calls; its triplet layers hold 4.2e8 dense parameters.
+    prob = linear_problem(2, a=0.1, b=-0.4)
+    tree = make_tree(seed=23, d=2, levels=4, m=4)
+    t = 0.75 * prob.T
+    mlp = synthesize_mlp_network(prob, tree, (1,), 4, 4, t)
+    mc = synthesize_mc_network(prob, tree, 2, 4, 4)
+    xs = np.random.default_rng(4).standard_normal((10, 2))
+    for rep in (mlp, mc):
+        assert rep.depth == rep.predicted_depth
+        assert rep.width_supnorm <= rep.predicted_width_bound
+    assert rel_err(realize(mlp.network, xs),
+                   [mlp_estimate(prob, tree, (1,), 4, 4, t, x) for x in xs]) <= 1e-8
+    assert rel_err(realize(mc.network, xs)[:, 0],
+                   [monte_carlo_payoff(prob, tree, 2, 4, 4, x) for x in xs]) <= 1e-8
+
+
 def wide_drift_problem(d):
     """A seeded 2d -> 8 -> 8 -> d drift (two hidden ReLU layers) with
     linear_problem(d)'s payoff."""
@@ -216,6 +236,70 @@ def test_mc_network_bytes_equal_public_api_oracle(kind, d, n, m):
                             .network) == want, f"K = {K}"
 
 
+def node_by_node(prob, tree, theta, n, m, t):
+    """The level-n network of theta at time t built one recursion node at a
+    time from public constructions: the identity summand, then per ell, per
+    k, the drift after the merged level-ell (then ell - 1) pair of sums,
+    depth-padded.  Keys, times and W come from the tuple API."""
+    d, mu = prob.d, prob.mu_net
+    if n == 0:
+        return zero_network(d, d)
+    g = m ** n
+    floored = min(int(t * g / tree.T + 1e-9), g) * (tree.grid_size // g)
+    H = n * len(mu.layers) + 1
+    mu0 = realize(mu, np.zeros(2 * d))
+    summands = [affine_network(np.eye(d), brownian_at(tree, theta, floored)
+                               + t * mu0, H)]
+    coeffs = [1.0]
+    for ell in range(1, n):
+        M = m ** (n - ell)
+        for k in range(1, M + 1):
+            sub = tuple(theta) + (n, k, ell)
+            s = uniform_time(tree, sub) * t
+            for lv, h in ((ell, t / M), (ell - 1, -t / M)):
+                pair = merge([node_by_node(prob, tree, theta, lv, m, s),
+                              node_by_node(prob, tree, sub, lv, m, s)])
+                pad = H + 1 - len(mu.layers) - len(pair.layers)
+                summands.append(compose(mu, extend_depth(pair, pad)))
+                coeffs.append(h)
+    return scaled_sum(summands, coeffs)
+
+
+def assert_same_network(got, want, d):
+    assert layer_digest(got) == layer_digest(want)
+    xs = 2 * np.random.default_rng(d).standard_normal((20, d))
+    assert realize(got, xs).tobytes() == realize(want, xs).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", list(PROBLEMS))
+def test_mlp_network_bytes_equal_node_by_node_oracle(kind, d, n, m):
+    # Synthesis builds all networks of one recursion class at once; the
+    # oracle builds one node at a time from public functions, so the two
+    # share no layout, key or time code.
+    prob = PROBLEMS[kind](d)
+    tree = NoiseTree(master_seed=19, T=prob.T, d=d, grid_levels=max(n, 1),
+                     m=m)
+    t = 0.75 * tree.T
+    assert_same_network(synthesize_mlp_network(prob, tree, (2,), n, m, t).network,
+                        node_by_node(prob, tree, (2,), n, m, t), d)
+
+
+@pytest.mark.parametrize("t", [0.0, 5e-324, 1e-322])
+@pytest.mark.parametrize("kind", ["linear", "wide drift"])
+def test_node_by_node_oracle_at_vanishing_times(kind, t):
+    # Children's times and coefficients underflow to +-0.  At t = 1e-322
+    # they do in some nodes of a class only, so its copies differ in which
+    # output entries are +0.0: a triplet stores the union, and negating it
+    # must keep those +0.0s (rerun with every layout a triplet).
+    prob = PROBLEMS[kind](2)
+    tree = NoiseTree(master_seed=19, T=prob.T, d=2, grid_levels=3, m=3)
+    assert_same_network(synthesize_mlp_network(prob, tree, (2,), 3, 3, t).network,
+                        node_by_node(prob, tree, (2,), 3, 3, t), 2)
+
+
 def test_mc_network_construction_peak_stays_near_its_size():
     # Building each level-n network on its own and then copying it into the
     # Monte Carlo network peaked at 1.5 times the result's dense bytes here.
@@ -238,12 +322,12 @@ def test_mc_network_construction_peak_stays_near_its_size():
     assert peak <= size / 8
 
 
-def brownian_queries(n, m):
-    """Q(n): the Brownian queries below a level-n node, one per level
-    lv >= 1 of each ell's children, Q(0) = Q(1) = 0.  The node's own W
-    comes from its parent, or from one query at the entry point."""
-    return sum(1 + (ell > 1) + 2 * m ** (n - ell)
-               * (brownian_queries(ell, m) + brownian_queries(ell - 1, m))
+def brownian_queries(n):
+    """Q(n): the Brownian queries below a level-n class call, one per child
+    level lv >= 1 of each ell, Q(0) = Q(1) = 0.  A call builds all networks
+    of its class, whatever m and the number of its keys are; its own W
+    comes from its parent's query, or from one query at the entry point."""
+    return sum(1 + (ell > 1) + brownian_queries(ell) + brownian_queries(ell - 1)
                for ell in range(1, n))
 
 
@@ -251,7 +335,8 @@ def brownian_queries(n, m):
                                   (3, 3)])
 def test_one_brownian_query_per_child_level(monkeypatch, n, m):
     # A node used to query its own W: 67 queries per level-3 network at
-    # m = 3, and 134 for K = 2 Monte Carlo samples.
+    # m = 3, and 134 for K = 2 Monte Carlo samples; then one query per
+    # node's child level: 10 and 20.
     rows = []
 
     def counting(tree, keys, idx):
@@ -262,12 +347,11 @@ def test_one_brownian_query_per_child_level(monkeypatch, n, m):
     prob = linear_problem(5)
     tree = NoiseTree(master_seed=8, T=prob.T, d=5, grid_levels=n, m=m)
     synthesize_mlp_network(prob, tree, (1,), n, m, 0.75 * prob.T)
-    assert len(rows) == 1 + brownian_queries(n, m)
+    assert len(rows) == 1 + brownian_queries(n)
     rows.clear()
     synthesize_mc_network(prob, tree, 2, n, m)
-    assert len(rows) == 2 * (1 + brownian_queries(n, m))
-    assert (1 + brownian_queries(3, 3), 2 * (1 + brownian_queries(3, 3))) \
-        == (10, 20)
+    assert len(rows) == 1 + brownian_queries(n)
+    assert 1 + brownian_queries(3) == 5
 
 
 def test_mc_network_is_the_one_network_built():

@@ -3,6 +3,8 @@ against the estimator, rerun with the size rule at 0: every block layout the
 calculus builds is then a _Triplet, so the triplet path is checked at sizes
 small enough to be cheap.  The golden byte tests are not rerun: a negated
 _Triplet keeps its implicit entries at +0.0, where a dense -W holds -0.0.
+The node-by-node oracle at vanishing times is: it builds its triplets by the
+same size rule.
 """
 
 import numpy as np
@@ -25,7 +27,8 @@ from test_calculus import (  # noqa: F401
     test_non_finite_scalars_rejected, test_non_integer_size_rejected,
     test_side_by_side_rejections, test_zero_network)
 from test_synthesis import (  # noqa: F401
-    TestMcSynthesis, TestMlpSynthesis, test_network_matches_scalar_property)
+    TestMcSynthesis, TestMlpSynthesis, test_network_matches_scalar_property,
+    test_node_by_node_oracle_at_vanishing_times)
 
 
 @pytest.fixture(autouse=True, scope="module")
