@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nets import _check_count, realize
+from .nets import _blocks, _check_count, realize
 # brownian_at and uniform_time are bound here only for perfbench's tracer.
-from .noise import (_BLOCK, NoiseTree, ThetaIndex, base_keys, brownian_at,
+from .noise import (NoiseTree, ThetaIndex, base_keys, brownian_at,
                     brownian_path_batch, fold_keys, theta_key, uniform_time,
                     uniform_time_batch)
 from .problems import TestProblem
 
-# Rows of one group of sub-estimates (its call stacks twice as many); the
-# drift runs in row blocks of the noise kernel's working-set cap _BLOCK.
+# Rows of one group of sub-estimates (its call stacks twice as many); its
+# drift is one ``realize`` call, which runs in row blocks of ``nets._BLOCK``.
 _GROUP_ROWS = 2048
 
 
@@ -123,28 +123,12 @@ def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
             # A level-0 estimate is zero, and the drift there is mu0.
             est = [_mlp_batch(problem, tree, both, lv, m, s, x, mu0)
                    for lv in ((ell, ell - 1) if ell > 1 else (ell,))]
-            mu = _drift(problem.mu_net, np.concatenate(
+            mu = realize(problem.mu_net, np.concatenate(
                 [np.hstack([e[:rows], e[rows:]]) for e in est]))
             mu_lo = mu[rows:] if ell > 1 else mu0
             for c in (mu[:rows] - mu_lo).reshape(len(ks), R, d):
                 val = val + (t / M)[:, None] * c
     return val
-
-
-def _drift(mu_net, inputs: np.ndarray) -> np.ndarray:
-    """``realize(mu_net, inputs)`` in equal row blocks whose widest
-    activation holds at most _BLOCK numbers."""
-    widest = max(W.shape[0] for W, _ in mu_net.layers)
-    return np.concatenate([
-        realize(mu_net, inputs[b])
-        for b in _blocks(len(inputs), max(1, _BLOCK // widest))])
-
-
-def _blocks(n: int, size: int) -> list:
-    """Slices that cut range(n) into equal blocks of at most size."""
-    parts = -(-n // size)
-    cuts = [n * i // parts for i in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _estimates(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
@@ -160,7 +144,7 @@ def mlp_estimate_batch(problem: TestProblem, tree: NoiseTree, bases,
                        n: int, m: int, t: float, x: np.ndarray) -> np.ndarray:
     """Level-n estimates for the tuples (b,), b in bases, one row each,
     shape (len, d).  A row's last bits may depend on how many rows share
-    a drift call, through the row blocks of its matrix products."""
+    a ``realize`` row block, through the row blocks of its matrix products."""
     bases = list(bases)
     x = _check_args(problem, tree, n, m, t, x, bases)
     keys = base_keys(tree.master_seed, np.asarray(bases, np.uint64))

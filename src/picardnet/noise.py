@@ -13,7 +13,7 @@ No path is stored: W(k) is the Levy-Ciesielski (Brownian-bridge) sum on the
 dyadic grid 0..P, P = 2^J >= G, W(k) = (k/P) W(P) + sum_{j<J} tent_j(k) z_j
 (Glasserman 2003, Sec. 3.1), so a query draws the J + 1 normals of the
 nodes above k: node 0 is W(P), node 2^j + i the midpoint of interval i of
-level j.  Batch queries run in cache-sized blocks of keys.  W(0) = 0
+level j.  Batch queries run in cache-sized ``nets._blocks`` of keys.  W(0) = 0
 exactly, so index-0 rows never enter a block: they are exact zeros and
 draw no normal.  A coarse index is a multiple of a power of two, where the
 tents of all finer levels are zero, so a block draws normals only for the
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nets import _check_count
+from .nets import _BLOCK, _blocks, _check_count
 
 ThetaIndex = tuple[int, ...]
 
@@ -36,11 +36,6 @@ _MASK = (1 << 64) - 1
 _PHI_U = np.uint64(0x9E3779B97F4A7C15)
 _MUL1_U = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2_U = np.uint64(0x94D049BB133111EB)
-
-# Working-set cap, in float64 values, of a Brownian query block and of a drift
-# block's widest activation: malloc reuses 128 KiB arrays without fresh pages,
-# and a block's input, output and 256 x 256 weight fit in a 2 MiB L2 cache.
-_BLOCK = 1 << 14
 
 
 def _mix_array(x: np.ndarray) -> np.ndarray:
@@ -163,10 +158,8 @@ def brownian_path_batch(tree: NoiseTree, keys: np.ndarray,
     # W(0) = 0 exactly: index-0 rows stay zero and out of the blocks.
     out, rows = np.zeros((len(keys), tree.d)), np.flatnonzero(k)
     keys, k = keys[rows], k[rows].astype(np.int64, copy=False)
-    step = max(1, _BLOCK // tree._bridge[-1].size)
-    for lo in range(0, len(rows), step):
-        out[rows[lo:lo + step]] = _bridge_sum(tree, keys[lo:lo + step],
-                                              k[lo:lo + step])
+    for b in _blocks(len(rows), max(1, _BLOCK // tree._bridge[-1].size)):
+        out[rows[b]] = _bridge_sum(tree, keys[b], k[b])
     return out
 
 

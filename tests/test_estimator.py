@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import picardnet.estimator
+import picardnet.nets
 import picardnet.noise
 import picardnet.synthesis
 from picardnet.estimator import (_grid_index, mlp_estimate,
@@ -231,22 +232,24 @@ def wide_problem(d=2, width=256, seed=0):
     (linear_problem(3, a=0.2, b=-0.3), 3, 3, 1000),
 ], ids=["wide-n2", "wide-n3", "linear-d2-n4", "linear-d3-split"])
 def test_drift_blocks_hold_at_most_2_14_values(monkeypatch, prob, n, m, K):
-    """Each drift evaluation runs in the fewest row blocks whose widest
-    activation holds at most 2**14 values, equal up to one row."""
+    """Each drift evaluation is one ``realize`` call, which runs in the
+    fewest row blocks whose widest activation holds at most 2**14 values,
+    equal up to one row."""
     evaluations = []
-    drift = picardnet.estimator._drift
+    forward = picardnet.nets._forward
 
-    def recording_drift(net, inputs):
-        evaluations.append((len(inputs), []))
-        return drift(net, inputs)
-
-    def counting_realize(net, x):
+    def recording_realize(net, x):
         if net is prob.mu_net and np.ndim(x) == 2:
-            evaluations[-1][1].append(len(x))
+            evaluations.append((len(x), []))
         return realize(net, x)
 
-    monkeypatch.setattr(picardnet.estimator, "_drift", recording_drift)
-    monkeypatch.setattr(picardnet.estimator, "realize", counting_realize)
+    def counting_forward(net, h, rowwise):
+        if net is prob.mu_net and rowwise:
+            evaluations[-1][1].append(len(h))
+        return forward(net, h, rowwise)
+
+    monkeypatch.setattr(picardnet.estimator, "realize", recording_realize)
+    monkeypatch.setattr(picardnet.nets, "_forward", counting_forward)
     tree = make_tree(seed=5, d=prob.d, levels=n, m=m)
     mlp_estimate_batch(prob, tree, range(1, K + 1), n, m, 1.0,
                        np.ones(prob.d))

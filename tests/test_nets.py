@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import picardnet.nets
 from picardnet.calculus import identity_network
 from picardnet.nets import (DimVector, NeuralNetwork, _Triplet, _check_count,
                             _forward, dim_supnorm, dims, network_from_text,
                             network_to_text, param_count, realize, relu)
+from picardnet.noise import NoiseTree
+from picardnet.problems import linear_problem
+from picardnet.synthesis import synthesize_mc_network
 
 
 def random_net(rng, widths):
@@ -137,6 +141,54 @@ class TestRealizeInPlace:
                 if n != len(net.layers) - 1:
                     h = np.maximum(h, 0.0)
             assert realize(net, x).tobytes() == h.tobytes()
+
+
+class TestRealizeBlocks:
+    """``realize`` runs a batch in the fewest equal row blocks whose widest
+    activation holds at most 2**14 values, one ``_forward`` call each."""
+
+    @staticmethod
+    def blocks(monkeypatch, net, x):
+        """realize(net, x) and the row count of each of its _forward calls
+        (None for a 1-D call)."""
+        rows, forward = [], picardnet.nets._forward
+
+        def counting_forward(net, h, rowwise):
+            rows.append(len(h) if rowwise else None)
+            return forward(net, h, rowwise)
+
+        monkeypatch.setattr(picardnet.nets, "_forward", counting_forward)
+        return realize(net, x), rows
+
+    def test_synthesized_network_in_four_blocks(self, monkeypatch):
+        # The d = 5, n = m = 3, K = 2 Monte Carlo network: 2,420 wide, so
+        # blocks of at most 6 rows, and 20 probes run as 5 + 5 + 5 + 5.
+        prob = linear_problem(5)
+        tree = NoiseTree(master_seed=3, T=prob.T, d=5, grid_levels=3, m=3)
+        net = synthesize_mc_network(prob, tree, 2, 3, 3).network
+        assert dim_supnorm(dims(net)) == 2420
+        x = np.random.default_rng(4).standard_normal((20, 5))
+        got, rows = self.blocks(monkeypatch, net, x)
+        assert rows == [5, 5, 5, 5]
+        # Oracle: one dense layer at a time on all rows.
+        h = x.T
+        for i, (W, B) in enumerate(net.layers):
+            h = np.asarray(W) @ h + B[:, None]
+            if i < len(net.layers) - 1:
+                h = np.maximum(h, 0.0)
+        assert got.shape == (20, 1)
+        np.testing.assert_allclose(got, h.T, rtol=1e-12,
+                                   atol=1e-12 * np.abs(h).max())
+
+    def test_vector_is_one_call(self, monkeypatch):
+        net = random_net(np.random.default_rng(2), (3, 2 ** 15, 2))
+        got, rows = self.blocks(monkeypatch, net, np.ones(3))
+        assert rows == [None] and got.shape == (2,)
+
+    def test_no_rows(self, monkeypatch):
+        net = random_net(np.random.default_rng(2), (3, 9, 2))
+        got, rows = self.blocks(monkeypatch, net, np.zeros((0, 3)))
+        assert rows == [0] and got.shape == (0, 2) and got.dtype == np.float64
 
 
 class TestParamCount:

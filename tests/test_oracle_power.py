@@ -24,6 +24,7 @@ import pytest
 
 import picardnet.calculus
 import picardnet.estimator
+import picardnet.nets
 import picardnet.noise
 import picardnet.synthesis
 import test_calculus
@@ -31,8 +32,9 @@ import test_estimator
 import test_noise
 import test_synthesis
 
-MODULES = (picardnet.noise, picardnet.estimator, picardnet.calculus,
-           picardnet.synthesis, test_calculus, test_estimator, test_noise)
+MODULES = (picardnet.nets, picardnet.noise, picardnet.estimator,
+           picardnet.calculus, picardnet.synthesis, test_calculus,
+           test_estimator, test_noise)
 
 # (id, module defining the function, function, line fragment, its fault)
 FAULTS = [
@@ -57,8 +59,10 @@ FAULTS = [
      "* scale[:live]", "* scale[:live] * 1.05"),
     ("fold_keys-adds", picardnet.noise, "fold_keys",
      "keys ^ _mix_array(", "keys + _mix_array("),
-    ("drift-rows-reversed", picardnet.estimator, "_drift",
-     "realize(mu_net, inputs[b])", "realize(mu_net, inputs[b][::-1])"),
+    ("drift-rows-reversed", picardnet.nets, "realize",
+     "_forward(net, x[b], True)", "_forward(net, x[b][::-1], True)"),
+    ("blocks-drop-last", picardnet.nets, "_blocks",
+     "for i in range(parts + 1)]", "for i in range(parts)]"),
     ("split-bias-not-negated", picardnet.calculus, "_split",
      "_cat([B, -B])", "_cat([B, B])"),
     ("side_by_side-biases-reversed", picardnet.calculus, "_side_by_side",
