@@ -14,11 +14,11 @@ The value recursion exists once, in ``_mlp_batch``, which runs many
 top-level samples in lockstep; ``mlp_estimate`` is its one-row case.  Each
 entry point, the synthesis ones included, checks its arguments, folds its
 index tuples into uint64 stream keys and realizes mu(0,0) once; below it
-no tuple exists.  The recursion and synthesis take child keys (theta, n,
-k, ell) and their times from ``_children`` and read W by ``_brownian``.
-Rows carry one key each and nothing is cached; the sub-estimates of a
-group of resampling indices k run as one call on stacked rows, so keys,
-uniforms, Brownian values and the drift are computed once for all of them.
+no tuple exists.  ``_classes`` alone gives the recursion and synthesis a
+call's groups of sub-calls (ell, child level, k), with their stacked rows
+and times, and each call with n > 0 reads its own W by ``_brownian``.  Rows
+carry one key each and nothing is cached; a group runs as one call, so
+keys, uniforms, Brownian values and the drift are computed once for it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .noise import (NoiseTree, ThetaIndex, base_keys, brownian_at,
                     uniform_time_batch)
 from .problems import TestProblem
 
-# Rows of one group of sub-estimates (its call stacks twice as many); its
+# Child rows of one group of sub-calls (its call stacks twice as many); its
 # drift is one ``realize`` call, which runs in row blocks of ``nets._BLOCK``.
 _GROUP_ROWS = 2048
 
@@ -50,11 +50,19 @@ def _brownian(tree: NoiseTree, keys: np.ndarray, t, m: int, n: int):
     return brownian_path_batch(tree, keys, _grid_index(tree, np.atleast_1d(t), m, n))
 
 
-def _children(keys: np.ndarray, t, n: int, ks: np.ndarray, ell: int):
-    """The child keys (theta, n, k, ell) of the streams of keys for each k
-    in ks, k-major, and their times U^child * t (t per key, or one time)."""
-    child = fold_keys(fold_keys(fold_keys(keys, n), ks[:, None]), ell).ravel()
-    return child, uniform_time_batch(child) * np.tile(t, len(ks))
+def _classes(keys: np.ndarray, t, n: int, m: int):
+    """The groups of sub-calls of a level-n call on keys at times t: (ell, M,
+    ks, rows, s) per ell < n and group of k with at most ``_GROUP_ROWS`` (or
+    one k) child keys (theta, n, k, ell); rows are the keys once per k, then
+    the children, k-major, and s is the children's times U * t, twice."""
+    group = max(1, _GROUP_ROWS // len(keys))
+    for ell in range(1, n):
+        M = m ** (n - ell)
+        for k0 in range(1, M + 1, group):
+            ks = np.arange(k0, min(k0 + group, M + 1))
+            child = fold_keys(fold_keys(fold_keys(keys, n), ks[:, None]), ell).ravel()
+            s = np.tile(uniform_time_batch(child) * np.tile(t, len(ks)), 2)
+            yield ell, M, ks, np.concatenate([np.tile(keys, len(ks)), child]), s
 
 
 def _check_args(problem: TestProblem, tree: NoiseTree, n, m, t, x=None,
@@ -99,9 +107,9 @@ def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
                mu0: np.ndarray) -> np.ndarray:
     """Level-n estimates for the streams of ``keys`` at times t, (len, d).
 
-    The sub-estimates of a group of k at one level ell run as one call on
-    stacked rows: the parent keys once per k, then the child keys.  Rows
-    are independent, so a call over too many rows runs in equal parts.
+    The sub-estimates of each group from ``_classes`` run as one call on
+    its stacked rows.  Rows are independent, so a call over too many rows
+    runs in equal parts.
     """
     d, R = problem.d, len(keys)
     if n == 0 or R == 0:
@@ -111,23 +119,16 @@ def _mlp_batch(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
             _mlp_batch(problem, tree, keys[b], n, m, t[b], x, mu0)
             for b in _blocks(R, _GROUP_ROWS)])
     val = x + _brownian(tree, keys, t, m, n) + t[:, None] * mu0
-    group = _GROUP_ROWS // R
-    for ell in range(1, n):
-        M = m ** (n - ell)
-        for k0 in range(1, M + 1, group):
-            ks = np.arange(k0, min(k0 + group, M + 1))
-            child, s = _children(keys, t, n, ks, ell)
-            s = np.tile(s, 2)
-            both = np.concatenate([np.tile(keys, len(ks)), child])
-            rows = len(child)
-            # A level-0 estimate is zero, and the drift there is mu0.
-            est = [_mlp_batch(problem, tree, both, lv, m, s, x, mu0)
-                   for lv in ((ell, ell - 1) if ell > 1 else (ell,))]
-            mu = realize(problem.mu_net, np.concatenate(
-                [np.hstack([e[:rows], e[rows:]]) for e in est]))
-            mu_lo = mu[rows:] if ell > 1 else mu0
-            for c in (mu[:rows] - mu_lo).reshape(len(ks), R, d):
-                val = val + (t / M)[:, None] * c
+    for ell, M, ks, both, s in _classes(keys, t, n, m):
+        rows = len(both) // 2
+        # A level-0 estimate is zero, and the drift there is mu0.
+        est = [_mlp_batch(problem, tree, both, lv, m, s, x, mu0)
+               for lv in ((ell, ell - 1) if ell > 1 else (ell,))]
+        mu = realize(problem.mu_net, np.concatenate(
+            [np.hstack([e[:rows], e[rows:]]) for e in est]))
+        mu_lo = mu[rows:] if ell > 1 else mu0
+        for c in (mu[:rows] - mu_lo).reshape(len(ks), R, d):
+            val = val + (t / M)[:, None] * c
     return val
 
 

@@ -158,8 +158,9 @@ def brownian_path_batch(tree: NoiseTree, keys: np.ndarray,
     # W(0) = 0 exactly: index-0 rows stay zero and out of the blocks.
     out, rows = np.zeros((len(keys), tree.d)), np.flatnonzero(k)
     keys, k = keys[rows], k[rows].astype(np.int64, copy=False)
-    for b in _blocks(len(rows), max(1, _BLOCK // tree._bridge[-1].size)):
-        out[rows[b]] = _bridge_sum(tree, keys[b], k[b])
+    if len(rows):  # an empty block would import scipy.special for nothing
+        for b in _blocks(len(rows), max(1, _BLOCK // tree._bridge[-1].size)):
+            out[rows[b]] = _bridge_sum(tree, keys[b], k[b])
     return out
 
 

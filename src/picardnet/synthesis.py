@@ -5,16 +5,16 @@ start point x, exactly representable by a ReLU network: the Brownian and
 t*mu(0,0) contributions become the output bias of an identity network, and
 each telescoping correction becomes the drift network composed with a merged
 pair of lower-level sums, depth-padded with identity layers.  The level-n
-network is the scaled sum of these summands.  The recursion has the shape
-of the value recursion ``estimator._mlp_batch``: one call builds, as copies
-of one layer list (``calculus._copy``), the networks of all nodes of a
-class (level, ell, child level), from uint64 stream keys that the entry
-points fold once, and reads their W in one Brownian query.  A parent's M
-summands of a class are its M copies, laid side by side.  The level-n
-network is the one-copy case, and the K-sample Monte Carlo payoff network
-lays the K copies of one call side by side (``calculus._composed_sums``);
-only the entry points build a network.  A parameter-selection pipeline
-wires the pieces into an end-to-end accuracy/parameter-count experiment.
+network is the scaled sum of these summands.  The recursion walks the
+sub-calls of ``estimator._mlp_batch`` (``estimator._classes``): one call
+builds, as copies of one layer list (``calculus._copy``), the networks of one
+group of a class (level, ell, child level) from uint64 stream keys that the
+entry points fold once, and reads their W in one Brownian query.  A parent's
+summands of a group are its copies, side by side.  The level-n network is the
+one-copy case, and the K-sample Monte Carlo payoff network lays the K copies
+of one call side by side (``calculus._composed_sums``); only the entry points
+build a network.  A parameter-selection pipeline wires the pieces into an
+end-to-end accuracy/parameter-count experiment.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import (_composed_sums, _copy, _deepened, _network,
                        _scaled_sum, _shared, _side_by_side, _then, affine_wrap,
                        compose, identity_network, merge, scaled_sum, zero_network)
-from .estimator import _brownian, _check_args, _children
+from .estimator import _brownian, _check_args, _classes
 from .nets import (NeuralNetwork, _check_count, dim_supnorm, dims,
                    param_count, realize)
 from .noise import (NoiseTree, ThetaIndex, base_keys, brownian_at, theta_key,
@@ -49,33 +49,32 @@ class SynthesisReport:
 
 
 def _mlp_net(problem: TestProblem, tree: NoiseTree, keys: np.ndarray,
-             n: int, m: int, t: np.ndarray, mu0: np.ndarray, w) -> list:
+             n: int, m: int, t: np.ndarray, mu0: np.ndarray) -> list:
     """The layers of the level-n networks of keys (uint64 stream keys) at
     times t, one copy each (``calculus._copy``), on checked arguments; mu0 =
-    mu(0, 0) and w their W at t (unused at n = 0).  One call per class (ell,
-    child level) builds all of its children, whose W one query reads."""
+    mu(0, 0).  Each call reads its own W and builds the children of each
+    group of ``_classes`` in one call per child level.  Unlike ``_mlp_batch``
+    it splits no call of many keys (layer lists cannot be joined along the
+    copy axis) and builds level 0's zero networks, which the depth law needs."""
     d, mu_net, R = problem.d, problem.mu_net, len(keys)
     if n == 0:
         return _shared(zero_network, d, d)
     H = n * len(mu_net.layers) + 1
     *shared, (WL, _) = _shared(identity_network, d, H)
+    w = _brownian(tree, keys, t, m, n)
     lists, coeffs = [[*shared, (WL, w + t[:, None] * mu0)]], [1.0]
-    for ell in range(1, n):
-        M = m ** (n - ell)
-        child, s = _children(keys, t, n, np.arange(1, M + 1), ell)
-        nodes, s = np.concatenate([np.tile(keys, M), child]), np.tile(s, 2)
-        pairs = []
+    for ell, M, ks, nodes, s in _classes(keys, t, n, m):
+        C, pairs = len(ks) * R, []
         for lv in (ell, ell - 1):
-            net = _mlp_net(problem, tree, nodes, lv, m, s, mu0,
-                           _brownian(tree, nodes, s, m, lv) if lv else None)
+            net = _mlp_net(problem, tree, nodes, lv, m, s, mu0)
             # Copy k * R + r of the merged pairs: parent r's sum beside its
             # k-th child's.
-            pair = _side_by_side("merge", [_copy(net, slice(M * R)),
-                                           _copy(net, slice(M * R, None))])
+            pair = _side_by_side("merge", [_copy(net, slice(C)),
+                                           _copy(net, slice(C, None))])
             pair = _deepened(pair, H + 1 - len(mu_net.layers) - len(pair))
             pairs.append(pair[:-1] + _then(mu_net, *pair[-1]))
         hs = ((t / M)[:, None], (-t / M)[:, None])
-        for k in range(M):
+        for k in range(len(ks)):
             for pair, h in zip(pairs, hs):
                 lists.append(_copy(pair, slice(k * R, (k + 1) * R)))
                 coeffs.append(h)
@@ -113,8 +112,7 @@ def synthesize_mlp_network(problem: TestProblem, tree: NoiseTree,
     _check_args(problem, tree, n, m, t, bases=theta)
     key = np.array([theta_key(tree.master_seed, theta)], np.uint64)
     mu0, t = realize(problem.mu_net, np.zeros(2 * problem.d)), np.full(1, float(t))
-    net = _network(_copy(_mlp_net(problem, tree, key, n, m, t, mu0,
-                                  _brownian(tree, key, t, m, n)), 0))
+    net = _network(_copy(_mlp_net(problem, tree, key, n, m, t, mu0), 0))
     return _report(net, n * (len(dims(problem.mu_net)) - 1) + 3,
                    mlp_width_constant(problem) * (5 * m) ** n)
 
@@ -126,8 +124,7 @@ def synthesize_mc_network(problem: TestProblem, tree: NoiseTree,
     _check_args(problem, tree, n, m, tree.T, K=K)
     keys, t = base_keys(tree.master_seed, np.arange(1, K + 1)), np.full(K, float(tree.T))
     mu0 = realize(problem.mu_net, np.zeros(2 * problem.d))
-    net = _composed_sums(problem.f_net, _mlp_net(problem, tree, keys, n, m, t, mu0,
-                                                 _brownian(tree, keys, t, m, n)),
+    net = _composed_sums(problem.f_net, _mlp_net(problem, tree, keys, n, m, t, mu0),
                          [1.0 / K] * K)
     depth_f, depth_mu = len(dims(problem.f_net)), len(dims(problem.mu_net))
     return _report(net, depth_f + n * (depth_mu - 1) + 2,

@@ -233,17 +233,25 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
 
 def test_import_leaves_scipy_special_unloaded_until_the_first_draw():
     # scipy.special (ndtri) adds about 24 MB of RSS; only a Brownian draw
-    # needs it, and a draw must then find it.
+    # needs it, and a draw must then find it.  Queries whose every index is
+    # 0, such as an estimate at t = 0, draw nothing and must not load it.
     src = os.path.dirname(os.path.dirname(picardnet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, picardnet; "
+    code = ("import sys, numpy as np, picardnet; "
+            "from picardnet.noise import brownian_path_batch; "
             "print('scipy.special' in sys.modules); "
             "tree = picardnet.NoiseTree(master_seed=1, T=1.0, d=2, "
             "grid_levels=2, m=2); "
+            "w = brownian_path_batch(tree, np.arange(1, 4, dtype=np.uint64), "
+            "np.zeros(3, np.int64)); "
+            "x = picardnet.mlp_estimate(picardnet.linear_problem(2), tree, "
+            "(1,), 2, 2, 0.0, np.ones(2)); "
+            "print('scipy.special' in sys.modules, w.any(), x.tolist()); "
             "w = picardnet.brownian_at(tree, (1,), 3); "
             "print('scipy.special' in sys.modules, w.shape)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["False", "True (2,)"]
+    assert out.splitlines() == ["False", "False False [1.0, 1.0]",
+                                "True (2,)"]

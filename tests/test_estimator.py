@@ -340,13 +340,34 @@ def blas_core() -> str:
     return corename().decode()
 
 
+# The golden of each OpenBLAS kernel family: their GEMM kernels sum the
+# wide drift's 64-term dot products in different orders or with FMA, so 15
+# to 17 of its 21 lines differ between families.  OPENBLAS_CORETYPE=Zen
+# runs on the Haswell kernels, and many older cores on Nehalem or Katmai.
+ESTIMATE_PINS = {"SkylakeX": "estimates.txt",
+                 "Haswell": "estimates-haswell.txt",
+                 **dict.fromkeys(("Sandybridge", "Nehalem", "Katmai"),
+                                 "estimates-sandybridge.txt")}
+
+
 def test_estimates_keep_their_bits():
-    # tests/data/estimates.txt was written before Brownian queries stopped
-    # drawing normals for index-0 rows, on OpenBLAS's SkylakeX kernels; its
-    # Haswell and Zen kernels round some drift products differently.
-    golden = Path(__file__).parent / "data" / "estimates.txt"
+    # Written before Brownian queries stopped drawing normals for index-0
+    # rows; each kernel family still gets an exact comparison.
+    core = blas_core()
+    if core not in ESTIMATE_PINS:
+        pytest.fail(f"no golden estimates for OpenBLAS core {core}")
+    golden = Path(__file__).parent / "data" / ESTIMATE_PINS[core]
     assert pinned_estimates() == golden.read_text(), \
-        f"estimates differ from the golden on OpenBLAS core {blas_core()}"
+        f"estimates differ from the golden on OpenBLAS core {core}"
+
+
+def test_estimate_pins_share_the_linear_section():
+    # Only the wide drift's products depend on the kernel: the linear
+    # drift's sums have at most two nonzero terms, which every order and
+    # FMA give alike, so its section is one on every pin.
+    sections = {Path(__file__).parent.joinpath("data", name).read_text()
+                .split("# drift")[0] for name in ESTIMATE_PINS.values()}
+    assert len(sections) == 1 and len(next(iter(sections)).splitlines()) == 22
 
 
 # Fine grids with a non-dyadic T.  A scalar path that floored t to a float
@@ -542,8 +563,9 @@ def test_mu0_realized_once_per_call(monkeypatch, module, call):
 # 7, N(3) = 67) and runs its 67 nodes as rows of 5 calls: the top call, then
 # 18 rows at ell = 1, 6 + 6 at ell = 2, and 36 below the 6 level-2 rows.
 # Synthesis builds its zero networks too (13 and 121 nodes) in one call per
-# class (ell, child level): B(n) = 1 + sum_ell (B(ell) + B(ell - 1)), B(0) =
-# B(1) = 1, whatever m is; B(3) = 7 calls, where it made one per node.
+# class (ell, child level) while a class holds at most 2,048 copies: B(n) =
+# 1 + sum_ell (B(ell) + B(ell - 1)), B(0) = B(1) = 1, whatever m is; B(3) =
+# 7 calls, where it made one per node.
 @pytest.mark.parametrize("module, recursion, call, calls, count", [
     (picardnet.estimator, "_mlp_batch",
      lambda p, tr: mlp_estimate(p, tr, (4, 1), 3, 3, 0.8, np.ones(1)), 5, 67),

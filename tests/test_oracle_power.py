@@ -2,7 +2,7 @@
 that reads no golden file.
 
 The estimator's rows, the one-row ``mlp_estimate`` and the synthesized
-networks share the child rule, the grid rule, the key path and the
+networks share the class rule, the grid rule, the key path and the
 Brownian kernel, so comparing them with each other cannot see a fault in
 those rules.  Here each fault is a one-line edit of a library function's
 source, compiled in its module's namespace and patched into every module
@@ -40,17 +40,19 @@ MODULES = (picardnet.nets, picardnet.noise, picardnet.estimator,
 FAULTS = [
     ("mlp_batch-mu_lo-is-mu0", picardnet.estimator, "_mlp_batch",
      "mu_lo = mu[rows:] if ell > 1 else mu0", "mu_lo = mu0"),
-    ("mlp_batch-children-first", picardnet.estimator, "_mlp_batch",
-     "both = np.concatenate([np.tile(keys, len(ks)), child])",
-     "both = np.concatenate([child, np.tile(keys, len(ks))])"),
+    ("mlp_batch-children-first", picardnet.estimator, "_classes",
+     "np.concatenate([np.tile(keys, len(ks)), child])",
+     "np.concatenate([child, np.tile(keys, len(ks))])"),
     ("mlp_batch-weight-1e-7", picardnet.estimator, "_mlp_batch",
      "val = val + (t / M)[:, None] * c",
      "val = val + (t / M * (1 + 1e-7))[:, None] * c"),
-    ("children-ell-before-k", picardnet.estimator, "_children",
+    ("children-ell-before-k", picardnet.estimator, "_classes",
      "fold_keys(fold_keys(fold_keys(keys, n), ks[:, None]), ell)",
      "fold_keys(fold_keys(fold_keys(keys, n), ell), ks[:, None])"),
-    ("children-one-minus-u", picardnet.estimator, "_children",
+    ("children-one-minus-u", picardnet.estimator, "_classes",
      "uniform_time_batch(child) *", "(1 - uniform_time_batch(child)) *"),
+    ("classes-drop-last-k", picardnet.estimator, "_classes",
+     "min(k0 + group, M + 1)", "min(k0 + group, M)"),
     ("grid_index-rounds-up", picardnet.estimator, "_grid_index",
      "np.floor(", "np.ceil("),
     ("brownian-coarser-level", picardnet.estimator, "_brownian",
@@ -79,7 +81,7 @@ FAULTS = [
      "take(B, 1))", "take(B if B.ndim == 1 else np.roll(B, 1, axis=0), 1))"),
     ("mlp_net-copies-folded-reversed", picardnet.synthesis, "_mlp_net",
      "_copy(pair, slice(k * R, (k + 1) * R))",
-     "_copy(pair, slice((M - 1 - k) * R, (M - k) * R))"),
+     "_copy(pair, slice((len(ks) - 1 - k) * R, (len(ks) - k) * R))"),
 ]
 
 

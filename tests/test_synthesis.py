@@ -236,6 +236,41 @@ def test_mc_network_bytes_equal_public_api_oracle(kind, d, n, m):
                             .network) == want, f"K = {K}"
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["linear", "wide drift"])
+def test_grouped_classes_keep_the_network_bytes(monkeypatch, kind, d, n, m):
+    # A class of more than estimator._GROUP_ROWS copies is built in groups
+    # of k, one call per group and child level.  At 4 rows, every class of
+    # the K = 3 build with M > 1 splits, and the groups' copies must give
+    # the shapes and dense bytes of the build in whole classes.
+    prob = PROBLEMS[kind](d)
+    tree = NoiseTree(master_seed=29, T=prob.T, d=d, grid_levels=max(n, 1),
+                     m=m)
+    calls, original = [], picardnet.synthesis._mlp_net
+
+    def recording(problem, tree, keys, *rest):
+        calls.append(len(keys))
+        return original(problem, tree, keys, *rest)
+
+    def digests():
+        calls.clear()
+        nets = [synthesize_mc_network(prob, tree, K, n, m).network
+                for K in (1, 2, 3)]
+        nets.append(synthesize_mlp_network(prob, tree, (3,), n, m,
+                                           0.75 * tree.T).network)
+        return [layer_digest(net) for net in nets], sum(calls), len(calls)
+
+    monkeypatch.setattr(picardnet.synthesis, "_mlp_net", recording)
+    want, rows, whole = digests()
+    monkeypatch.setattr(picardnet.estimator, "_GROUP_ROWS", 4)
+    got, grouped_rows, grouped = digests()
+    assert got == want
+    assert grouped_rows == rows
+    assert grouped > whole if n >= 2 and m >= 2 else grouped == whole
+
+
 def node_by_node(prob, tree, theta, n, m, t):
     """The level-n network of theta at time t built one recursion node at a
     time from public constructions: the identity summand, then per ell, per
@@ -324,9 +359,9 @@ def test_mc_network_construction_peak_stays_near_its_size():
 
 def brownian_queries(n):
     """Q(n): the Brownian queries below a level-n class call, one per child
-    level lv >= 1 of each ell, Q(0) = Q(1) = 0.  A call builds all networks
-    of its class, whatever m and the number of its keys are; its own W
-    comes from its parent's query, or from one query at the entry point."""
+    level lv >= 1 of each ell, Q(0) = Q(1) = 0, while a class holds at most
+    2,048 copies.  A call builds all networks of its class, whatever m and
+    the number of its keys are."""
     return sum(1 + (ell > 1) + brownian_queries(ell) + brownian_queries(ell - 1)
                for ell in range(1, n))
 
@@ -336,7 +371,8 @@ def brownian_queries(n):
 def test_one_brownian_query_per_child_level(monkeypatch, n, m):
     # A node used to query its own W: 67 queries per level-3 network at
     # m = 3, and 134 for K = 2 Monte Carlo samples; then one query per
-    # node's child level: 10 and 20.
+    # node's child level: 10 and 20.  Each call with n > 0 reads its own W,
+    # so a level-0 build makes no query.
     rows = []
 
     def counting(tree, keys, idx):
@@ -347,10 +383,10 @@ def test_one_brownian_query_per_child_level(monkeypatch, n, m):
     prob = linear_problem(5)
     tree = NoiseTree(master_seed=8, T=prob.T, d=5, grid_levels=n, m=m)
     synthesize_mlp_network(prob, tree, (1,), n, m, 0.75 * prob.T)
-    assert len(rows) == 1 + brownian_queries(n)
+    assert len(rows) == (n > 0) + brownian_queries(n)
     rows.clear()
     synthesize_mc_network(prob, tree, 2, n, m)
-    assert len(rows) == 1 + brownian_queries(n)
+    assert len(rows) == (n > 0) + brownian_queries(n)
     assert 1 + brownian_queries(3) == 5
 
 
