@@ -17,7 +17,9 @@ level j.  Batch queries run in cache-sized ``nets._blocks`` of keys.  W(0) = 0
 exactly, so index-0 rows never enter a block: they are exact zeros and
 draw no normal.  A coarse index is a multiple of a power of two, where the
 tents of all finer levels are zero, so a block draws normals only for the
-nodes live at some index in it and sums exact zeros for the rest.
+nodes live at some index in it.  A block is node-major, so every ufunc
+runs along its rows, and it sums its nodes in numpy's pairwise order,
+written out: the order that fixed every value's bits (``_bridge_sum``).
 The tuple API (``theta_key`` and the one-key ``uniform_time`` and
 ``brownian_at``) serves entry points only: the recursions walk uint64 keys.
 """
@@ -120,9 +122,9 @@ class NoiseTree:
         J = int(self.grid_size - 1).bit_length()
         shift, first = np.r_[J + 1, J:0:-1], np.r_[0, 1 << np.arange(J)]
         scale = np.sqrt(self.T / self.grid_size / (1 << np.minimum(shift, J)))
-        counter = first * self.d + (2 + np.arange(self.d))[:, None]
-        object.__setattr__(self, "_bridge", (
-            shift, 1 << shift, np.maximum(first - 1, 0), scale, counter))
+        counter = (first * self.d)[:, None] + 2 + np.arange(self.d)
+        object.__setattr__(self, "_bridge", tuple(a[..., None] for a in (
+            shift, 1 << shift, np.maximum(first - 1, 0), scale, counter)))
 
     @property
     def grid_size(self) -> int:
@@ -166,33 +168,45 @@ def brownian_path_batch(tree: NoiseTree, keys: np.ndarray,
 
 def _bridge_sum(tree: NoiseTree, keys: np.ndarray,
                 k: np.ndarray) -> np.ndarray:
-    """W at grid indices k for one block of keys.
+    """W at grid indices k for one block of keys, shape (len(k), d).
 
     The tents of column c have span 2^shift[c] and vanish at its
     multiples, so the column is live in the block iff its span exceeds
     o & -o, the largest power of two dividing every index (o is their
     bitwise or).  Spans halve from column to column, so the live columns
-    come first.  Only they draw normals; the others add exact zeros to the
-    sum over every column, which keeps the order of the additions and so
-    every value.  Index-0 rows never enter a block from
-    ``brownian_path_batch``: they would draw every live column only to
-    weight it by zero.
+    come first; only they draw normals.  Arrays are (live, rows) and
+    (live, d, rows): each ufunc runs one loop over the rows, where one
+    loop per row over at most J + 1 columns cost more in numpy's per-loop
+    overhead than in arithmetic.  The sum over columns is written out in
+    the order of the row-major ``sum(axis=-1)`` over all J + 1 of them,
+    which fixed every value: numpy's pairwise order, 8 running sums, the
+    tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
+    (below 8 columns, all in turn).  A dead column's +0.0 changes no sum
+    holding node 0's nonzero term (index-0 rows never enter a block), so
+    it is skipped.
     """
     from scipy.special import ndtri  # 24 MB of RSS, so at the first draw
-    shift, span, last, scale, counter = tree._bridge
-    o = int(np.bitwise_or.reduce(k, initial=0))
-    live = len(shift) + 1 - (o & -o).bit_length() if o else 0
-    cell = np.minimum(k[:, None] >> shift[:live], last[:live])
-    r = k[:, None] - (cell << shift[:live])
-    weight = np.minimum(r, span[:live] - r) * scale[:live]
-    counters = (cell * tree.d)[:, None, :] + counter[:, :live]
-    z = ndtri(_to_unit(_values(keys[:, None, None],
-                               counters.view(np.uint64))))
-    terms = z * weight[:, None, :]
-    if live < len(span):
-        terms = np.concatenate(
-            [terms, np.zeros(terms.shape[:2] + (len(span) - live,))], axis=-1)
-    return terms.sum(axis=-1)
+    o, n = int(np.bitwise_or.reduce(k, initial=0)), len(tree._bridge[0])
+    live = n + 1 - (o & -o).bit_length()
+    shift, span, last, scale, counter = (a[:live] for a in tree._bridge)
+    cell = np.minimum(k >> shift, last)
+    r = k - (cell << shift)
+    weight = np.minimum(r, span - r) * scale
+    counters = (cell * tree.d)[:, None] + counter
+    z = ndtri(_to_unit(_values(keys, counters.view(np.uint64))))
+    z *= weight[:, None]
+    tail = n & -8  # the last multiple of 8, 0 below 8 columns
+    if tail:
+        s = z[:8] if live >= 8 else np.concatenate(
+            [z, np.zeros((8 - live,) + z.shape[1:])])
+        for i in range(8, min(live, tail), 8):
+            s[:live - i] += z[i:i + 8]
+        while len(s) > 1:
+            s = s[0::2] + s[1::2]
+    out = s[0] if tail else np.zeros(z.shape[1:])
+    for column in z[tail:]:
+        out += column
+    return out.T
 
 
 def brownian_at(tree: NoiseTree, theta: ThetaIndex, k: int) -> np.ndarray:

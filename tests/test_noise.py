@@ -237,20 +237,95 @@ class TestQueryBoundary:
         assert brownian_path_batch(tree, [], []).shape == (0, 2)
 
 
+MASK, GOLDEN = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+
+def mix(x):
+    """The SplitMix64 finalizer, on Python ints or on uint64 arrays (which
+    wrap modulo 2**64 by themselves)."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK
+    return x ^ (x >> 31)
+
+
 def splitmix_key(seed, theta):
     """Reference stream key: the SplitMix64 fold transcribed on Python ints,
     h <- mix(h ^ mix(e + golden)) per tuple entry, from h = seed."""
-    mask = (1 << 64) - 1
-
-    def mix(x):
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-        return x ^ (x >> 31)
-
-    h = seed & mask
+    h = seed & MASK
     for e in theta:
-        h = mix(h ^ mix((e + 0x9E3779B97F4A7C15) & mask))
+        h = mix(h ^ mix((e + GOLDEN) & MASK))
     return h
+
+
+def bridge_oracle(tree, keys, idx):
+    """Reference W at idx[b] for key b, transcribed row-major from the
+    Levy-Ciesielski sum on the dyadic grid 0..P, P = 2^J >= G.
+
+    Row b holds a (d, J + 1) table: column 0 is node 0, W(P), with weight
+    k / P; column j + 1 is the midpoint of interval i of level j (half
+    width h = P / 2^(j+1), i the last interval at k = P), node 2^j + i, with
+    the tent weight min(r, 2h - r) / (2h) * sqrt(2h dt) at offset r into
+    its interval.  Component c of node v is ndtri of the word
+    mix(key + (2 + v d + c) golden), mapped to (0, 1) by its top 53 bits.
+    A node whose tent is zero at k adds 0.0, and ``np.sum(axis=-1)`` adds
+    all J + 1 columns.
+    """
+    G, d, dt = tree.grid_size, tree.d, tree.T / tree.grid_size
+    J = (G - 1).bit_length()
+    k = np.asarray(idx, np.int64)[:, None]
+    j = np.arange(J)
+    width = (1 << J) >> j  # 2h, in grid steps
+    i = np.minimum(k // width, (1 << j) - 1)
+    r = k - i * width
+    weight = np.concatenate([k * np.sqrt(dt / (1 << J)),
+                             np.minimum(r, width - r) * np.sqrt(dt / width)],
+                            axis=1)
+    node = np.concatenate([np.zeros_like(k), (1 << j) + i], axis=1)
+    counters = 2 + node[:, None, :] * d + np.arange(d)[:, None]
+    words = mix(np.asarray(keys, np.uint64)[:, None, None]
+                + counters.astype(np.uint64) * GOLDEN)
+    z = ndtri(((words >> np.uint64(11)) + 0.5) * 2.0 ** -53)
+    w = weight[:, None, :]
+    return np.where(w == 0, 0.0, z * w).sum(axis=-1)
+
+
+class TestBridgeOracle:
+    """``brownian_path_batch`` against ``bridge_oracle``, bit for bit, so
+    the kernel's layout and its written-out summation order are checked
+    without a golden file.  At m = 2, grid_levels 0..53 give 1 to 54 bridge
+    columns, so every branch of numpy's pairwise order runs; coarse queries
+    leave the finer columns dead, down to one live column."""
+
+    GRIDS = [(2, levels) for levels in range(54)] + [(3, 4)]
+
+    @staticmethod
+    def queries(tree, rng):
+        """Per level, coarse indices of that level with index-0 rows; then
+        a query of fine, coarse and index-0 rows, shuffled, over 3 blocks
+        of the largest grid."""
+        G, m, L = tree.grid_size, tree.m, tree.grid_levels
+        for level in range(L + 1):
+            yield rng.integers(0, m ** level + 1, 12) * (G // m ** level)
+        coarse = [rng.integers(0, m ** lev + 1, 20) * (G // m ** lev)
+                  for lev in range(L + 1)]
+        mixed = np.concatenate([rng.integers(1, G + 1, 100), np.zeros(40, int),
+                                *coarse])
+        yield rng.permutation(mixed)[:300]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_row_major_transcription(self, d):
+        for m, levels in self.GRIDS:
+            tree = make_tree(seed=levels * 7 + m, T=1.3, d=d, levels=levels,
+                             m=m)
+            rng = np.random.default_rng([levels, m, d])
+            for idx in self.queries(tree, rng):
+                keys = base_keys(tree.master_seed, rng.integers(1, 2 ** 40,
+                                                                len(idx)))
+                got = brownian_path_batch(tree, keys, idx)
+                np.testing.assert_array_equal(
+                    got.view(np.uint64),
+                    bridge_oracle(tree, keys, idx).view(np.uint64),
+                    err_msg=f"m={m} grid_levels={levels} d={d}")
 
 
 class TestKeys:

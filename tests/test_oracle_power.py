@@ -10,8 +10,9 @@ that binds the function, the test modules included.  Then the independent oracle
 the test-side transcription of the recursion, the test-side SplitMix64
 keys, hand-computed grid floors, the Brownian moment tests, the calculus
 tests against the combinations of their inputs' realizations (also with
-every layout stored as triplets), and the synthesized networks against the
-estimator and against their build from public calculus functions.  None of
+every layout stored as triplets), the synthesized networks against the
+estimator and against their build from public calculus functions, and the
+row-major transcription of the Brownian kernel.  None of
 them reads ``tests/data``.  A fault whose line a refactor removed fails
 here too, so the table moves with the code it targets.
 """
@@ -58,7 +59,9 @@ FAULTS = [
     ("brownian-coarser-level", picardnet.estimator, "_brownian",
      "np.atleast_1d(t), m, n)", "np.atleast_1d(t), m, max(n - 1, 0))"),
     ("bridge-weights-1.05", picardnet.noise, "_bridge_sum",
-     "* scale[:live]", "* scale[:live] * 1.05"),
+     "span - r) * scale", "span - r) * scale * 1.05"),
+    ("bridge-sum-tree-regrouped", picardnet.noise, "_bridge_sum",
+     "s = s[0::2] + s[1::2]", "s = s[:len(s) // 2] + s[len(s) // 2:]"),
     ("fold_keys-adds", picardnet.noise, "fold_keys",
      "keys ^ _mix_array(", "keys + _mix_array("),
     ("drift-rows-reversed", picardnet.nets, "realize",
@@ -125,6 +128,9 @@ DETECTORS = [
             2),
     all_triplets(partial(S.test_node_by_node_oracle_at_vanishing_times,
                          "wide drift", 1e-322)),
+    # Regrouping the bridge's sum over nodes changes bits only; its
+    # row-major transcription sees them.
+    partial(N.TestBridgeOracle().test_matches_row_major_transcription, 1),
 ]
 
 
