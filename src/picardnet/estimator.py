@@ -47,7 +47,7 @@ def _grid_index(tree: NoiseTree, t, m: int, n: int):
 
 def _brownian(tree: NoiseTree, keys: np.ndarray, t, m: int, n: int):
     """W of the streams of keys at the level-n grid floor of their times t."""
-    return brownian_path_batch(tree, keys, _grid_index(tree, np.atleast_1d(t), m, n))
+    return brownian_path_batch(tree, keys, _grid_index(tree, t, m, n))
 
 
 def _classes(keys: np.ndarray, t, n: int, m: int):

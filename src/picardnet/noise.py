@@ -18,8 +18,7 @@ exactly, so index-0 rows never enter a block: they are exact zeros and
 draw no normal.  A coarse index is a multiple of a power of two, where the
 tents of all finer levels are zero, so a block draws normals only for the
 nodes live at some index in it.  A block is node-major, so every ufunc
-runs along its rows, and it sums its nodes in numpy's pairwise order,
-written out: the order that fixed every value's bits (``_bridge_sum``).
+runs along its rows, and it sums its live nodes in node order.
 The tuple API (``theta_key`` and the one-key ``uniform_time`` and
 ``brownian_at``) serves entry points only: the recursions walk uint64 keys.
 """
@@ -41,7 +40,7 @@ _MUL2_U = np.uint64(0x94D049BB133111EB)
 
 
 def _mix_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
+    """Finalize uint64 words in place; callers pass a fresh array."""
     x ^= x >> np.uint64(30)
     x *= _MUL1_U
     x ^= x >> np.uint64(27)
@@ -177,13 +176,10 @@ def _bridge_sum(tree: NoiseTree, keys: np.ndarray,
     come first; only they draw normals.  Arrays are (live, rows) and
     (live, d, rows): each ufunc runs one loop over the rows, where one
     loop per row over at most J + 1 columns cost more in numpy's per-loop
-    overhead than in arithmetic.  The sum over columns is written out in
-    the order of the row-major ``sum(axis=-1)`` over all J + 1 of them,
-    which fixed every value: numpy's pairwise order, 8 running sums, the
-    tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
-    (below 8 columns, all in turn).  A dead column's +0.0 changes no sum
-    holding node 0's nonzero term (index-0 rows never enter a block), so
-    it is skipped.
+    overhead than in arithmetic.  The live columns are summed in node
+    order (``sum(axis=0)`` would go pairwise on one row of d = 1); a dead
+    one's +0.0 would come after node 0's nonzero term and change no bit
+    (index-0 rows never enter a block).
     """
     from scipy.special import ndtri  # 24 MB of RSS, so at the first draw
     o, n = int(np.bitwise_or.reduce(k, initial=0)), len(tree._bridge[0])
@@ -195,16 +191,8 @@ def _bridge_sum(tree: NoiseTree, keys: np.ndarray,
     counters = (cell * tree.d)[:, None] + counter
     z = ndtri(_to_unit(_values(keys, counters.view(np.uint64))))
     z *= weight[:, None]
-    tail = n & -8  # the last multiple of 8, 0 below 8 columns
-    if tail:
-        s = z[:8] if live >= 8 else np.concatenate(
-            [z, np.zeros((8 - live,) + z.shape[1:])])
-        for i in range(8, min(live, tail), 8):
-            s[:live - i] += z[i:i + 8]
-        while len(s) > 1:
-            s = s[0::2] + s[1::2]
-    out = s[0] if tail else np.zeros(z.shape[1:])
-    for column in z[tail:]:
+    out = z[0]
+    for column in z[1:]:
         out += column
     return out.T
 

@@ -267,8 +267,8 @@ def bridge_oracle(tree, keys, idx):
     the tent weight min(r, 2h - r) / (2h) * sqrt(2h dt) at offset r into
     its interval.  Component c of node v is ndtri of the word
     mix(key + (2 + v d + c) golden), mapped to (0, 1) by its top 53 bits.
-    A node whose tent is zero at k adds 0.0, and ``np.sum(axis=-1)`` adds
-    all J + 1 columns.
+    A node whose tent is zero at k adds 0.0, and all J + 1 columns are
+    added one after another, from node 0.
     """
     G, d, dt = tree.grid_size, tree.d, tree.T / tree.grid_size
     J = (G - 1).bit_length()
@@ -286,15 +286,18 @@ def bridge_oracle(tree, keys, idx):
                 + counters.astype(np.uint64) * GOLDEN)
     z = ndtri(((words >> np.uint64(11)) + 0.5) * 2.0 ** -53)
     w = weight[:, None, :]
-    return np.where(w == 0, 0.0, z * w).sum(axis=-1)
+    terms, total = np.where(w == 0, 0.0, z * w), np.zeros(z.shape[:-1])
+    for column in range(J + 1):
+        total += terms[..., column]
+    return total
 
 
 class TestBridgeOracle:
     """``brownian_path_batch`` against ``bridge_oracle``, bit for bit, so
-    the kernel's layout and its written-out summation order are checked
-    without a golden file.  At m = 2, grid_levels 0..53 give 1 to 54 bridge
-    columns, so every branch of numpy's pairwise order runs; coarse queries
-    leave the finer columns dead, down to one live column."""
+    the kernel's layout and its node-order sum are checked without a golden
+    file.  At m = 2, grid_levels 0..53 give 1 to 54 bridge columns; coarse
+    queries leave the finer columns dead, down to one live column, and a
+    one-row query is a block of one row."""
 
     GRIDS = [(2, levels) for levels in range(54)] + [(3, 4)]
 
@@ -302,7 +305,7 @@ class TestBridgeOracle:
     def queries(tree, rng):
         """Per level, coarse indices of that level with index-0 rows; then
         a query of fine, coarse and index-0 rows, shuffled, over 3 blocks
-        of the largest grid."""
+        of the largest grid; then one fine row."""
         G, m, L = tree.grid_size, tree.m, tree.grid_levels
         for level in range(L + 1):
             yield rng.integers(0, m ** level + 1, 12) * (G // m ** level)
@@ -311,6 +314,7 @@ class TestBridgeOracle:
         mixed = np.concatenate([rng.integers(1, G + 1, 100), np.zeros(40, int),
                                 *coarse])
         yield rng.permutation(mixed)[:300]
+        yield rng.integers(1, G + 1, 1)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_matches_row_major_transcription(self, d):
@@ -360,6 +364,23 @@ class TestKeys:
         for seed in (0, 4242, 2 ** 64 - 1):
             for theta in ((0,), (2 ** 64 - 1,), (5, 3, 2, 1), (1, 2 ** 63, 7)):
                 assert theta_key(seed, theta) == splitmix_key(seed, theta)
+
+    def test_callers_arrays_keep_their_bytes(self):
+        # The mixer finalizes its words in place, so every entry point must
+        # hand it a fresh array, never one of its caller's.
+        tree = make_tree(seed=5, d=2, levels=4)
+        keys = base_keys(4242, np.arange(1, 9))
+        bases, idx = np.arange(1, 9), np.arange(9, 17)
+        elements = np.arange(8, dtype=np.uint64)
+        arrays = (keys, bases, idx, elements)
+        before = [a.tobytes() for a in arrays]
+        fold_keys(keys, elements)
+        fold_keys(keys, 7)
+        base_keys(4242, bases)
+        base_keys(4242, keys)
+        uniform_time_batch(keys)
+        brownian_path_batch(tree, keys, idx)
+        assert [a.tobytes() for a in arrays] == before
 
     def test_empty_theta_rejected(self):
         with pytest.raises(ValueError):

@@ -57,13 +57,18 @@ FAULTS = [
     ("grid_index-rounds-up", picardnet.estimator, "_grid_index",
      "np.floor(", "np.ceil("),
     ("brownian-coarser-level", picardnet.estimator, "_brownian",
-     "np.atleast_1d(t), m, n)", "np.atleast_1d(t), m, max(n - 1, 0))"),
+     "_grid_index(tree, t, m, n))", "_grid_index(tree, t, m, max(n - 1, 0)))"),
     ("bridge-weights-1.05", picardnet.noise, "_bridge_sum",
      "span - r) * scale", "span - r) * scale * 1.05"),
-    ("bridge-sum-tree-regrouped", picardnet.noise, "_bridge_sum",
-     "s = s[0::2] + s[1::2]", "s = s[:len(s) // 2] + s[len(s) // 2:]"),
+    ("bridge-sum-reversed", picardnet.noise, "_bridge_sum",
+     "for column in z[1:]:", "for column in z[:0:-1]:"),
+    ("bridge-sum-numpy-reduce", picardnet.noise, "_bridge_sum",
+     "out = z[0]", "out, z = z.sum(axis=0), z[:1]"),
     ("fold_keys-adds", picardnet.noise, "fold_keys",
      "keys ^ _mix_array(", "keys + _mix_array("),
+    ("fold_keys-writes-its-keys", picardnet.noise, "fold_keys",
+     "keys ^ _mix_array(element + _PHI_U)",
+     "np.bitwise_xor(keys, _mix_array(element + _PHI_U), out=keys)"),
     ("drift-rows-reversed", picardnet.nets, "realize",
      "_forward(net, x[b], True)", "_forward(net, x[b][::-1], True)"),
     ("blocks-drop-last", picardnet.nets, "_blocks",
@@ -102,6 +107,7 @@ C, E, N, S = test_calculus, test_estimator, test_noise, test_synthesis
 DETECTORS = [
     E.TestFloorToGrid().test_examples,
     E.TestFloorToGrid().test_grid_points_are_fixed,
+    N.TestKeys().test_callers_arrays_keep_their_bytes,
     N.TestKeys().test_array_element_folds_without_warning,
     N.TestKeys().test_theta_key_matches_reference,
     N.TestKeys().test_batch_matches_scalar,
@@ -128,7 +134,7 @@ DETECTORS = [
             2),
     all_triplets(partial(S.test_node_by_node_oracle_at_vanishing_times,
                          "wide drift", 1e-322)),
-    # Regrouping the bridge's sum over nodes changes bits only; its
+    # Summing the bridge's nodes in another order changes bits only; its
     # row-major transcription sees them.
     partial(N.TestBridgeOracle().test_matches_row_major_transcription, 1),
 ]
